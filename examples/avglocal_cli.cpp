@@ -1,6 +1,6 @@
 // avglocal_cli: every bundled LOCAL algorithm on every graph family, by
 // name, through the scenario registries - single runs, batched/adaptive
-// sweeps, sharded sweeps across processes and a local multi-process driver.
+// sweeps, sharded sweeps, a resident daemon and a distributed fabric.
 //
 // Discover the workload space:
 //   avglocal_cli list
@@ -27,11 +27,6 @@
 //   ... shards 1/4, 2/4, 3/4 on other hosts ...
 //   avglocal_cli merge --json sweep.json s0.json s1.json s2.json s3.json
 //
-// Or let the driver schedule the shards as local subprocesses (failed
-// shards are retried, artefacts merged bit-identically):
-//   avglocal_cli drive --algo largest-id --graph gnp:avg-degree=6
-//                      --ns 1024,4096 --trials 1000 --shards 4 --json sweep.json
-//
 // Or keep the engines resident: `serve` runs a daemon over a Unix-domain
 // socket with a content-addressed result cache (repeat requests are free,
 // trial extensions compute only the missing range), `request` is its
@@ -49,24 +44,26 @@
 //   avglocal_cli fabric-serve --listen tcp:0.0.0.0:7440 --algo largest-id
 //                             --graph cycle --ns 1024 --trials 1000 --json sweep.json &
 //   avglocal_cli fabric-worker --connect tcp:host:7440 --threads 4   (xN, any hosts)
+//
+// A local multi-process sweep is a fabric run with local workers (a dead
+// worker's unit is re-dispatched; if every worker dies the launcher stops
+// the coordinator and exits 1):
+//   tools/fabric_launch.sh --cli avglocal_cli --workers "local local local local"
+//       --json sweep.json -- --algo largest-id --graph gnp:avg-degree=6
+//       --ns 1024,4096 --trials 1000
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/registry.hpp"
@@ -86,8 +83,6 @@
 #include "support/json_writer.hpp"
 #include "support/rng.hpp"
 #include "support/socket.hpp"
-
-extern char** environ;
 
 namespace {
 
@@ -157,26 +152,54 @@ bool f64_flag(const std::string& text, const char* flag, double& out) {
   return true;
 }
 
-std::optional<std::vector<std::size_t>> parse_size_list(const std::string& text) {
+bool size_list_flag(const std::string& text, const char* flag, std::vector<std::size_t>& out) {
   std::vector<std::size_t> values;
   std::stringstream stream(text);
   std::string item;
   while (std::getline(stream, item, ',')) {
     const auto parsed = parse_u64(item);
-    if (!parsed) return std::nullopt;
+    if (!parsed) return flag_error(text, flag);
     values.push_back(static_cast<std::size_t>(*parsed));
   }
-  if (values.empty()) return std::nullopt;
-  return values;
+  if (values.empty()) return flag_error(text, flag);
+  out = std::move(values);
+  return true;
 }
 
-std::string join_sizes(const std::vector<std::size_t>& ns) {
-  std::string out;
-  for (std::size_t i = 0; i < ns.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ns[i]);
+enum class FlagParse { kTaken, kNotMine, kBad };
+
+/// The workload flags of every subcommand that names a sweep (sweep,
+/// fabric-serve, request): --algo, --graph, --ns, --trials, --seed,
+/// --semantics and --node-profile. argv[i] is the flag; taking one that
+/// has a value advances i past it. kNotMine covers another flag and a
+/// value flag with no value left - the caller's "unknown or incomplete
+/// argument" path. kBad is a malformed value, already named on stderr.
+FlagParse parse_scenario_flag(int argc, char** argv, int& i, core::ScenarioSpec& spec) {
+  const std::string arg = argv[i];
+  if (arg == "--node-profile") {
+    spec.node_profile = true;
+    return FlagParse::kTaken;
   }
-  return out;
+  if (i + 1 >= argc) return FlagParse::kNotMine;
+  const std::string value = argv[i + 1];
+  bool ok = true;
+  if (arg == "--algo") {
+    spec.algorithm = value;
+  } else if (arg == "--graph") {
+    spec.family = graph::parse_family_spec(value);
+  } else if (arg == "--ns") {
+    ok = size_list_flag(value, "--ns", spec.ns);
+  } else if (arg == "--trials") {
+    ok = size_flag(value, "--trials", spec.schedule.max_trials);
+  } else if (arg == "--seed") {
+    ok = u64_flag(value, "--seed", spec.seed);
+  } else if (arg == "--semantics") {
+    spec.semantics = parse_semantics(value);
+  } else {
+    return FlagParse::kNotMine;
+  }
+  ++i;
+  return ok ? FlagParse::kTaken : FlagParse::kBad;
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -271,7 +294,6 @@ void usage() {
                "       avglocal_cli list          (enumerate graph families and algorithms)\n"
                "       avglocal_cli sweep ...     (batched/adaptive/sharded sweeps; --help)\n"
                "       avglocal_cli merge ...     (recombine shard artefacts; --help)\n"
-               "       avglocal_cli drive ...     (multi-process sharded sweep; --help)\n"
                "       avglocal_cli serve ...     (resident sweep daemon + result cache; --help)\n"
                "       avglocal_cli request ...   (client for a running daemon; --help)\n"
                "       avglocal_cli fabric-serve ...  (distributed sweep coordinator; --help)\n"
@@ -365,7 +387,7 @@ int run_single_impl(const RunOptions& options) {
   return 0;
 }
 
-// ------------------------------------------------------- sweep / drive ----
+// --------------------------------------------------------------- sweep ----
 
 struct SweepCliOptions {
   core::ScenarioSpec spec;
@@ -373,14 +395,7 @@ struct SweepCliOptions {
   std::size_t batch = 0;
   std::optional<std::pair<std::size_t, std::size_t>> shard;  ///< (index, count)
   std::string out_path;   ///< shard artefact destination (sweep --shard)
-  std::string json_path;  ///< full-report destination (sweep / merge / drive)
-
-  // drive only
-  std::size_t shards = 2;
-  std::size_t jobs = 0;     ///< concurrent subprocesses; 0 = min(shards, cores)
-  std::size_t retries = 2;  ///< re-runs of a failed shard before giving up
-  bool keep_artefacts = false;
-  std::string workdir;
+  std::string json_path;  ///< full-report destination
 };
 
 void sweep_usage() {
@@ -391,8 +406,6 @@ void sweep_usage() {
          "                          [--target-hw H [--min-trials M] [--adaptive-batch B]\n"
          "                          [--z Z]] [--shard I/K --out FILE]\n"
          "       avglocal_cli merge [--json FILE] SHARD.json...\n"
-         "       avglocal_cli drive ...sweep flags... --shards K [--jobs J] [--retries R]\n"
-         "                          [--workdir DIR] [--keep-artefacts]\n"
          "  `list` enumerates the algorithm and graph-family names. View and message\n"
          "  algorithms both sweep; the registry picks the engine. --threads parallelises\n"
          "  both: view sweeps share vertices across workers, message sweeps run one\n"
@@ -401,13 +414,16 @@ void sweep_usage() {
          "  --trials is the trial count - or, with --target-hw, the adaptive cap: trials\n"
          "  grow in batches until the avg-mean confidence half-width closes below H.\n"
          "  --shard I/K runs trial range I of K and writes a mergeable artefact; merge\n"
-         "  and drive recombine artefacts bit-identically to the monolithic sweep.\n";
+         "  recombines artefacts bit-identically to the monolithic sweep. For a local\n"
+         "  multi-process sweep, run tools/fabric_launch.sh --workers \"local local ...\".\n";
 }
 
-std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, bool drive) {
+std::optional<SweepCliOptions> parse_sweep(int argc, char** argv) {
   SweepCliOptions options;
-  options.spec.schedule.max_trials = 100;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
+    const FlagParse scenario = parse_scenario_flag(argc, argv, i, options.spec);
+    if (scenario == FlagParse::kBad) return std::nullopt;
+    if (scenario == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     const auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) return std::nullopt;
@@ -415,29 +431,10 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
     };
     std::optional<std::string> value;
     if (arg == "--help" || arg == "-h") return std::nullopt;
-    if (arg == "--algo" && (value = next())) {
-      options.spec.algorithm = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      options.spec.family = graph::parse_family_spec(*value);
-    } else if (arg == "--ns" && (value = next())) {
-      const auto sizes = parse_size_list(*value);
-      if (!sizes) {
-        flag_error(*value, "--ns");
-        return std::nullopt;
-      }
-      options.spec.ns = *sizes;
-    } else if (arg == "--trials" && (value = next())) {
-      if (!size_flag(*value, "--trials", options.spec.schedule.max_trials)) return std::nullopt;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", options.spec.seed)) return std::nullopt;
-    } else if (arg == "--semantics" && (value = next())) {
-      options.spec.semantics = parse_semantics(*value);
-    } else if (arg == "--threads" && (value = next())) {
+    if (arg == "--threads" && (value = next())) {
       if (!size_flag(*value, "--threads", options.threads)) return std::nullopt;
     } else if (arg == "--batch" && (value = next())) {
       if (!size_flag(*value, "--batch", options.batch)) return std::nullopt;
-    } else if (arg == "--node-profile") {
-      options.spec.node_profile = true;
     } else if (arg == "--target-hw" && (value = next())) {
       if (!f64_flag(*value, "--target-hw", options.spec.schedule.target_half_width)) {
         return std::nullopt;
@@ -454,7 +451,7 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
       if (!f64_flag(*value, "--z", options.spec.schedule.z)) return std::nullopt;
     } else if (arg == "--json" && (value = next())) {
       options.json_path = *value;
-    } else if (!drive && arg == "--shard" && (value = next())) {
+    } else if (arg == "--shard" && (value = next())) {
       const auto slash = value->find('/');
       std::size_t index = 0;
       std::size_t count = 0;
@@ -466,18 +463,8 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
       index = static_cast<std::size_t>(*parse_u64(value->substr(0, slash)));
       count = static_cast<std::size_t>(*parse_u64(value->substr(slash + 1)));
       options.shard = {{index, count}};
-    } else if (!drive && arg == "--out" && (value = next())) {
+    } else if (arg == "--out" && (value = next())) {
       options.out_path = *value;
-    } else if (drive && arg == "--shards" && (value = next())) {
-      if (!size_flag(*value, "--shards", options.shards)) return std::nullopt;
-    } else if (drive && arg == "--jobs" && (value = next())) {
-      if (!size_flag(*value, "--jobs", options.jobs)) return std::nullopt;
-    } else if (drive && arg == "--retries" && (value = next())) {
-      if (!size_flag(*value, "--retries", options.retries)) return std::nullopt;
-    } else if (drive && arg == "--workdir" && (value = next())) {
-      options.workdir = *value;
-    } else if (drive && arg == "--keep-artefacts") {
-      options.keep_artefacts = true;
     } else {
       std::cerr << "unknown or incomplete argument: " << arg << "\n";
       return std::nullopt;
@@ -487,7 +474,7 @@ std::optional<SweepCliOptions> parse_sweep(int argc, char** argv, int first, boo
 }
 
 int run_sweep_command_impl(int argc, char** argv) {
-  const auto parsed = parse_sweep(argc, argv, 2, /*drive=*/false);
+  const auto parsed = parse_sweep(argc, argv);
   if (!parsed) {
     sweep_usage();
     return 2;
@@ -505,7 +492,7 @@ int run_sweep_command_impl(int argc, char** argv) {
     }
     if (resolved.spec.schedule.adaptive()) {
       std::cerr << "adaptive schedules cannot be sharded: the trial count is decided by the\n"
-                << "monolithic driver; drop --target-hw or run `sweep`/`drive` without --shard\n";
+                << "monolithic driver; drop --target-hw or run `sweep` without --shard\n";
       return 2;
     }
     core::BatchedSweepOptions sweep = resolved.sweep_options();
@@ -517,31 +504,6 @@ int run_sweep_command_impl(int argc, char** argv) {
       std::cerr << "shard " << index << " is empty: only " << plan.size()
                 << " non-empty shards in this plan\n";
       return 2;
-    }
-    // Test-only failure injection for the drive retry path (exercised by
-    // tests/test_cli_process.cpp and harmless otherwise): with
-    // AVGLOCAL_TEST_FAIL_MARKER set, the first run of each shard drops a
-    // marker file and fails - by nonzero exit, or by SIGKILL with
-    // AVGLOCAL_TEST_FAIL_MODE=kill; retries find the marker and proceed
-    // normally. MODE=always fails every attempt (exhausts the retry
-    // budget).
-    if (const char* marker = std::getenv("AVGLOCAL_TEST_FAIL_MARKER")) {
-      const std::string marker_path = std::string(marker) + ".shard" + std::to_string(index);
-      const char* mode_env = std::getenv("AVGLOCAL_TEST_FAIL_MODE");
-      const std::string mode = mode_env ? mode_env : "";
-      bool fail = mode == "always";
-      if (!fail) {
-        struct stat info;
-        if (::stat(marker_path.c_str(), &info) != 0) {
-          std::ofstream(marker_path).put('x');
-          fail = true;
-        }
-      }
-      if (fail) {
-        if (mode == "kill") ::kill(::getpid(), SIGKILL);
-        std::cerr << "injected failure for shard " << index << "\n";
-        return 33;
-      }
     }
     core::ShardDocument doc;
     doc.meta = core::scenario_plan_meta(resolved);
@@ -652,252 +614,6 @@ int run_merge_command_impl(int argc, char** argv) {
     std::cout << "merged report written to " << json_path << "\n";
   }
   return 0;
-}
-
-// --------------------------------------------------------------- drive ----
-
-std::string self_executable(const char* argv0) {
-  char buf[4096];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (len > 0) {
-    buf[len] = '\0';
-    return std::string(buf);
-  }
-  return std::string(argv0);
-}
-
-pid_t spawn_process(const std::string& exe, const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execve(exe.c_str(), argv.data(), environ);
-    std::perror("execve");
-    std::_Exit(127);
-  }
-  return pid;
-}
-
-int run_drive_command_impl(int argc, char** argv) {
-  const auto parsed = parse_sweep(argc, argv, 2, /*drive=*/true);
-  if (!parsed) {
-    sweep_usage();
-    return 2;
-  }
-  const SweepCliOptions& options = *parsed;
-  const core::ResolvedScenario resolved = core::resolve_scenario(options.spec);
-  if (resolved.spec.schedule.adaptive()) {
-    std::cerr << "drive runs fixed plans; drop --target-hw (adaptive sweeps are monolithic)\n";
-    return 2;
-  }
-  if (options.shards < 1) {
-    std::cerr << "--shards must be at least 1\n";
-    return 2;
-  }
-
-  const std::size_t trials = resolved.spec.schedule.max_trials;
-  const auto plan = core::plan_shards(resolved.spec.ns.size(), trials, options.shards);
-
-  const std::size_t cores = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t jobs =
-      std::max<std::size_t>(1, std::min(options.jobs == 0 ? cores : options.jobs, plan.size()));
-  // Subprocesses share the machine: split the cores across concurrent jobs
-  // unless the user pinned a per-shard thread count explicitly.
-  const std::size_t child_threads =
-      options.threads != 0 ? options.threads : std::max<std::size_t>(1, cores / jobs);
-
-  bool created_workdir = false;
-  std::string workdir = options.workdir;
-  if (workdir.empty()) {
-    std::string tmpl = "avglocal-drive-XXXXXX";
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      std::cerr << "cannot create work directory: " << std::strerror(errno) << "\n";
-      return 1;
-    }
-    workdir = tmpl;
-    created_workdir = true;
-  } else if (::mkdir(workdir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::cerr << "cannot create work directory " << workdir << ": " << std::strerror(errno)
-              << "\n";
-    return 1;
-  }
-
-  const std::string exe = self_executable(argv[0]);
-  struct ShardJob {
-    std::size_t index = 0;
-    std::string artefact;
-    std::size_t attempts = 0;
-  };
-  std::vector<ShardJob> shard_jobs(plan.size());
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    shard_jobs[i].index = i;
-    shard_jobs[i].artefact = workdir + "/shard-" + std::to_string(i) + ".json";
-    pending.push_back(i);
-  }
-
-  const auto shard_args = [&](const ShardJob& job) {
-    std::vector<std::string> args = {
-        exe,
-        "sweep",
-        "--algo",
-        resolved.spec.algorithm,
-        "--graph",
-        graph::family_spec_to_string(resolved.spec.family),
-        "--ns",
-        join_sizes(resolved.spec.ns),
-        "--trials",
-        std::to_string(trials),
-        "--seed",
-        std::to_string(resolved.spec.seed),
-        "--semantics",
-        local::to_string(resolved.spec.semantics),
-        "--threads",
-        std::to_string(child_threads),
-        "--shard",
-        std::to_string(job.index) + "/" + std::to_string(options.shards),
-        "--out",
-        job.artefact,
-    };
-    if (resolved.spec.node_profile) args.push_back("--node-profile");
-    if (options.batch != 0) {
-      args.push_back("--batch");
-      args.push_back(std::to_string(options.batch));
-    }
-    return args;
-  };
-
-  std::map<pid_t, std::size_t> running;
-  bool failed = false;
-  while ((!pending.empty() || !running.empty()) && !failed) {
-    while (!pending.empty() && running.size() < jobs) {
-      const std::size_t index = pending.front();
-      pending.pop_front();
-      ShardJob& job = shard_jobs[index];
-      ++job.attempts;
-      const pid_t pid = spawn_process(exe, shard_args(job));
-      if (pid < 0) {
-        // A failed fork consumes an attempt exactly like a shard that
-        // died after launching: the usual cause (transient resource
-        // exhaustion) deserves the same retry budget, and exhausting it
-        // fails the drive cleanly instead of aborting on the first EAGAIN.
-        if (job.attempts <= options.retries) {
-          std::cerr << "cannot fork shard " << index << " (attempt " << job.attempts
-                    << "): " << std::strerror(errno) << "; retrying\n";
-          pending.push_back(index);
-          const timespec backoff{0, 50'000'000};  // let the pressure pass
-          ::nanosleep(&backoff, nullptr);
-        } else {
-          std::cerr << "cannot fork shard " << index << " after " << job.attempts
-                    << " attempts: " << std::strerror(errno) << "; giving up\n";
-          failed = true;
-        }
-        break;
-      }
-      running.emplace(pid, index);
-    }
-    if (failed) break;
-    if (running.empty()) {
-      if (pending.empty()) break;
-      continue;  // every fork failed this round; the backoff ran, relaunch
-    }
-
-    // Reap exactly one of OUR shards. waitpid(-1) would also collect
-    // children the caller of this code happens to own (and, embedded in a
-    // larger process, steal their exit statuses), so poll the tracked
-    // pids with WNOHANG instead, napping between rounds. EINTR is a
-    // retry, never a failure.
-    pid_t pid = -1;
-    int status = -1;
-    while (pid < 0) {
-      for (const auto& [candidate, candidate_index] : running) {
-        int candidate_status = 0;
-        const pid_t got = ::waitpid(candidate, &candidate_status, WNOHANG);
-        if (got == candidate) {
-          pid = candidate;
-          status = candidate_status;
-          break;
-        }
-        if (got < 0 && errno != EINTR) {
-          // ECHILD (or anything unexpected) for a pid we believe we own:
-          // someone else reaped it, so its artefact status is unknown -
-          // feed it to the retry path as a failure (status stays -1,
-          // which WIFEXITED rejects).
-          std::cerr << "waitpid(" << candidate << ") failed: " << std::strerror(errno) << "\n";
-          pid = candidate;
-          break;
-        }
-        // got == 0: still running; got < 0 && EINTR: re-poll next round.
-      }
-      if (pid < 0) {
-        const timespec nap{0, 20'000'000};  // 20ms between polling rounds
-        ::nanosleep(&nap, nullptr);
-      }
-    }
-    const auto it = running.find(pid);
-    if (it == running.end()) continue;
-    const std::size_t index = it->second;
-    running.erase(it);
-    const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (ok) {
-      std::cout << "shard " << index << "/" << options.shards << " done ("
-                << shard_jobs[index].attempts << " attempt"
-                << (shard_jobs[index].attempts == 1 ? "" : "s") << ")\n";
-      continue;
-    }
-    if (shard_jobs[index].attempts <= options.retries) {
-      std::cerr << "shard " << index << " failed (attempt " << shard_jobs[index].attempts
-                << "); retrying\n";
-      pending.push_back(index);
-    } else {
-      std::cerr << "shard " << index << " failed after " << shard_jobs[index].attempts
-                << " attempts; giving up\n";
-      failed = true;
-    }
-  }
-  // Drain any children still running after a failure so nothing is left
-  // writing into the work directory. Still pid-targeted, still EINTR-safe.
-  for (const auto& [pid, index] : running) {
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-  }
-  if (failed) {
-    // Keep whatever the shards produced for post-mortem, but say where -
-    // a silently accumulating mkdtemp directory per failed run would be
-    // worse than the disk it costs.
-    std::cerr << "partial shard artefacts left in " << workdir << " for inspection\n";
-    return 1;
-  }
-
-  std::vector<core::ShardDocument> docs;
-  docs.reserve(shard_jobs.size());
-  for (const ShardJob& job : shard_jobs) {
-    docs.push_back(core::parse_shard_json(read_text_file(job.artefact)));
-  }
-  const auto points = wrap_merged_points(resolved.spec, core::merge_shards(std::move(docs)));
-  std::cout << "drive merged " << shard_jobs.size() << " shard(s): " << resolved.spec.algorithm
-            << " on " << graph::family_spec_to_string(resolved.spec.family) << ", seed "
-            << resolved.spec.seed << ", " << trials << " trials\n";
-  print_points(points, /*adaptive=*/false);
-
-  int exit_code = 0;
-  if (!options.json_path.empty()) {
-    if (!write_text_file(options.json_path, core::sweep_report_json(resolved.spec, points))) {
-      exit_code = 1;
-    } else {
-      std::cout << "sweep report written to " << options.json_path << "\n";
-    }
-  }
-  if (!options.keep_artefacts) {
-    for (const ShardJob& job : shard_jobs) ::unlink(job.artefact.c_str());
-    if (created_workdir) ::rmdir(workdir.c_str());
-  } else {
-    std::cout << "shard artefacts kept in " << workdir << "\n";
-  }
-  return exit_code;
 }
 
 // ------------------------------------------------------- serve / request ----
@@ -1017,12 +733,14 @@ void fabric_usage() {
 
 int run_fabric_serve_command_impl(int argc, char** argv) {
   core::ScenarioSpec spec;
-  spec.schedule.max_trials = 100;
   core::FabricOptions fabric;
   std::string listen;
   std::string json_path;
   std::string endpoint_file;
   for (int i = 2; i < argc; ++i) {
+    const FlagParse scenario = parse_scenario_flag(argc, argv, i, spec);
+    if (scenario == FlagParse::kBad) return 2;
+    if (scenario == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     const auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) return std::nullopt;
@@ -1045,25 +763,6 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
       json_path = *value;
     } else if (arg == "--endpoint-file" && (value = next())) {
       endpoint_file = *value;
-    } else if (arg == "--algo" && (value = next())) {
-      spec.algorithm = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      spec.family = graph::parse_family_spec(*value);
-    } else if (arg == "--ns" && (value = next())) {
-      const auto sizes = parse_size_list(*value);
-      if (!sizes) {
-        flag_error(*value, "--ns");
-        return 2;
-      }
-      spec.ns = *sizes;
-    } else if (arg == "--trials" && (value = next())) {
-      if (!size_flag(*value, "--trials", spec.schedule.max_trials)) return 2;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", spec.seed)) return 2;
-    } else if (arg == "--semantics" && (value = next())) {
-      spec.semantics = parse_semantics(*value);
-    } else if (arg == "--node-profile") {
-      spec.node_profile = true;
     } else {
       std::cerr << "unknown or incomplete argument: " << arg << "\n";
       fabric_usage();
@@ -1151,14 +850,14 @@ int run_fabric_worker_command_impl(int argc, char** argv) {
   }
   options.endpoint = support::parse_endpoint(connect);
 
-  // Test-only failure injection for the straggler re-dispatch path (the
-  // fabric twin of the sweep --shard hooks, exercised by
-  // tests/test_cli_process.cpp): with AVGLOCAL_TEST_FAIL_MARKER set, this
-  // worker's first granted unit drops a marker file and dies mid-unit -
-  // after the grant, before any artefact - which is exactly the straggler
-  // the coordinator must re-dispatch. MODE=kill dies by SIGKILL, anything
-  // else by exit 33; MODE=always dies on every grant (the worker is then
-  // useless and the others must carry the sweep).
+  // Test-only failure injection for the straggler re-dispatch path
+  // (exercised by tests/test_cli_process.cpp): with
+  // AVGLOCAL_TEST_FAIL_MARKER set, this worker's first granted unit drops
+  // a marker file and dies mid-unit - after the grant, before any
+  // artefact - which is exactly the straggler the coordinator must
+  // re-dispatch. MODE=kill dies by SIGKILL, anything else by exit 33;
+  // MODE=always dies on every grant (the worker is then useless and the
+  // others must carry the sweep; if none can, the launcher gives up).
   if (const char* marker = std::getenv("AVGLOCAL_TEST_FAIL_MARKER")) {
     const std::string marker_path = std::string(marker) + ".worker-" + options.name;
     const char* mode_env = std::getenv("AVGLOCAL_TEST_FAIL_MODE");
@@ -1191,8 +890,10 @@ int run_request_command_impl(int argc, char** argv) {
   std::string json_path;
   std::uint64_t connect_timeout_ms = 5000;
   core::ScenarioSpec spec;
-  spec.schedule.max_trials = 100;
   for (int i = 2; i < argc; ++i) {
+    const FlagParse scenario = parse_scenario_flag(argc, argv, i, spec);
+    if (scenario == FlagParse::kBad) return 2;
+    if (scenario == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     const auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) return std::nullopt;
@@ -1211,25 +912,6 @@ int run_request_command_impl(int argc, char** argv) {
       op = *value;
     } else if (arg == "--json" && (value = next())) {
       json_path = *value;
-    } else if (arg == "--algo" && (value = next())) {
-      spec.algorithm = *value;
-    } else if (arg == "--graph" && (value = next())) {
-      spec.family = graph::parse_family_spec(*value);
-    } else if (arg == "--ns" && (value = next())) {
-      const auto sizes = parse_size_list(*value);
-      if (!sizes) {
-        flag_error(*value, "--ns");
-        return 2;
-      }
-      spec.ns = *sizes;
-    } else if (arg == "--trials" && (value = next())) {
-      if (!size_flag(*value, "--trials", spec.schedule.max_trials)) return 2;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!u64_flag(*value, "--seed", spec.seed)) return 2;
-    } else if (arg == "--semantics" && (value = next())) {
-      spec.semantics = parse_semantics(*value);
-    } else if (arg == "--node-profile") {
-      spec.node_profile = true;
     } else {
       std::cerr << "unknown or incomplete argument: " << arg << "\n";
       serve_usage();
@@ -1259,7 +941,7 @@ int run_request_command_impl(int argc, char** argv) {
   // poll loop; connect_with_retry rides out the ENOENT / ECONNREFUSED
   // window with bounded backoff instead, and throws (-> exit 1) only once
   // --connect-timeout-ms has elapsed with nothing listening.
-  support::UnixStream stream = support::Stream::connect_with_retry(
+  support::Stream stream = support::Stream::connect_with_retry(
       support::parse_endpoint(socket_path), static_cast<long>(connect_timeout_ms));
   if (!stream.write_line(json.str())) {
     std::cerr << "cannot send request to " << socket_path << "\n";
@@ -1331,9 +1013,6 @@ int main(int argc, char** argv) {
   }
   if (argc > 1 && std::strcmp(argv[1], "merge") == 0) {
     return run_guarded(run_merge_command_impl, argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "drive") == 0) {
-    return run_guarded(run_drive_command_impl, argc, argv);
   }
   if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
     return run_guarded(run_serve_command_impl, argc, argv);

@@ -1,9 +1,9 @@
 // The declarative workload layer: one ScenarioSpec names everything a sweep
 // needs - graph family (registry key + parameters), view algorithm
 // (registry key), semantics, sizes, seed, measure options and a trial
-// schedule - and every tool (avglocal_cli run/sweep/drive, experiments,
-// benches) consumes the same resolved plumbing instead of re-wiring its own
-// factory dispatch.
+// schedule - and every tool (avglocal_cli run/sweep/serve/fabric,
+// experiments, benches) consumes the same resolved plumbing instead of
+// re-wiring its own factory dispatch.
 //
 // Resolution is strict and happens before any sweep work: unknown families,
 // algorithms or parameters throw std::invalid_argument listing the known
@@ -57,7 +57,7 @@ struct TrialSchedule {
 
   /// Half-width of the avg-mean confidence interval after `trials` trials.
   /// The single definition behind convergence decisions, reported points
-  /// and reconstructed merge/drive reports - reports recombined from shard
+  /// and reconstructed merge reports - reports recombined from shard
   /// artefacts must be byte-identical to the monolithic run's, so every
   /// consumer must evaluate the exact same expression.
   double half_width(double sd, std::size_t trials) const noexcept;
@@ -163,9 +163,9 @@ struct ScenarioResult {
 };
 
 /// The sweep report document (format v3). Produced identically by the
-/// monolithic `sweep`, by `merge`, by `drive` and by the daemon's cache
-/// hits, so any two paths that ran the same workload can be compared byte
-/// for byte (CI does, with cmp).
+/// monolithic `sweep`, by `merge`, by the fabric coordinator and by the
+/// daemon's cache hits, so any two paths that ran the same workload can be
+/// compared byte for byte (CI does, with cmp).
 std::string sweep_report_json(const ScenarioSpec& spec,
                               const std::vector<ScenarioPoint>& points);
 

@@ -42,7 +42,7 @@ Server::~Server() {
   }
 }
 
-void Server::start() { listener_ = support::UnixListener::bind(options_.socket_path); }
+void Server::start() { listener_ = support::Listener::bind(options_.socket_path); }
 
 void Server::request_stop() noexcept {
   // Called from SIGTERM/SIGINT handlers: only the atomic store and
@@ -106,7 +106,7 @@ Server::Reply Server::handle_request(const std::string& line) {
   return reply;
 }
 
-void Server::serve_connection(support::UnixStream stream, ClientSlot* slot) {
+void Server::serve_connection(support::Stream stream, ClientSlot* slot) {
   std::string line;
   while (!stopping() && stream.read_line(line)) {
     const Reply reply = handle_request(line);
@@ -134,7 +134,7 @@ void Server::reap_finished_slots_locked() {
 void Server::run() {
   AVGLOCAL_EXPECTS_MSG(listener_.valid(), "Server::run called before start()");
   while (!stopping()) {
-    support::UnixStream stream = listener_.accept_client();
+    support::Stream stream = listener_.accept_client();
     if (stopping()) break;
     if (!stream.valid()) continue;  // interrupted accept; loop re-checks stop
 

@@ -99,12 +99,12 @@ class Server {
     std::atomic<bool> done{false};
   };
 
-  void serve_connection(support::UnixStream stream, ClientSlot* slot);
+  void serve_connection(support::Stream stream, ClientSlot* slot);
   void reap_finished_slots_locked();
 
   ServeOptions options_;
   ResultCache cache_;
-  support::UnixListener listener_;
+  support::Listener listener_;
   std::atomic<bool> stop_{false};
 
   std::mutex slots_mutex_;

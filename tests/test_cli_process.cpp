@@ -1,14 +1,15 @@
 // Process-level CLI contracts, driven through the real avglocal_cli
-// binary (path injected as AVGLOCAL_CLI_BIN):
+// binary and tools/fabric_launch.sh (paths injected as AVGLOCAL_CLI_BIN
+// and AVGLOCAL_FABRIC_LAUNCH):
 //
 //  * malformed numeric flags exit 2 and name the offending flag - the
 //    bare-stoull era threw an uncaught exception on garbage and silently
 //    wrapped "-1" to 2^64-1;
-//  * the drive reaper survives shard failure: a shard that exits nonzero
-//    or dies by signal on its first attempt is retried, and the merged
-//    report is byte-identical to the monolithic sweep's;
-//  * exhausted retries fail the drive cleanly (exit 1, "giving up"),
-//    never a hang or an abort.
+//  * the fabric survives worker failure: a worker that dies mid-unit, by
+//    SIGKILL or by a nonzero exit, has its unit re-dispatched, and the
+//    merged report is byte-identical to the monolithic sweep's;
+//  * when every worker dies the launcher gives up cleanly (exit 1, no
+//    report) within a fixed bound, never a hang.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -41,6 +42,8 @@ RunResult run_command(const std::string& command) {
 }
 
 std::string cli() { return AVGLOCAL_CLI_BIN; }
+
+std::string launcher() { return AVGLOCAL_FABRIC_LAUNCH; }
 
 std::string read_file(const std::string& path) {
   std::ifstream file(path);
@@ -89,9 +92,6 @@ TEST(CliFlagParsing, MalformedNumericFlagsExitTwoAndNameTheFlag) {
       {"sweep --shard one/2 --out /dev/null --ns 64", "--shard", "one/2"},
       {"--n 12x", "--n", "12x"},
       {"--seed 99999999999999999999", "--seed", "99999999999999999999"},
-      {"drive --shards -2 --ns 64", "--shards", "-2"},
-      {"drive --jobs many --ns 64", "--jobs", "many"},
-      {"drive --retries 1e3 --ns 64", "--retries", "1e3"},
       {"serve --socket /tmp/x.sock --max-clients none", "--max-clients", "none"},
       {"request --socket /tmp/x.sock --trials '' ", "--trials", ""},
       {"fabric-serve --listen unix:/tmp/x.sock --straggler-ms soon --ns 64", "--straggler-ms",
@@ -99,6 +99,8 @@ TEST(CliFlagParsing, MalformedNumericFlagsExitTwoAndNameTheFlag) {
       {"fabric-serve --listen unix:/tmp/x.sock --unit-trials -4 --ns 64", "--unit-trials", "-4"},
       {"fabric-worker --connect unix:/tmp/x.sock --connect-timeout-ms never",
        "--connect-timeout-ms", "never"},
+      {"fabric-serve --listen unix:/tmp/x.sock --ns 64,abc", "--ns", "64,abc"},
+      {"request --socket /tmp/x.sock --ns 64,abc", "--ns", "64,abc"},
   };
   for (const BadFlagCase& c : cases) {
     const RunResult result = run_command(cli() + " " + c.args);
@@ -117,64 +119,10 @@ TEST(CliFlagParsing, WellFormedNumericFlagsStillWork) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
 }
 
-// ------------------------------------------------------ drive retry path ----
-
-std::string drive_flags(const ScratchDir& dir, const std::string& report) {
-  return " drive --algo largest-id --graph cycle --ns 64,128 --trials 10 --seed 3"
-         " --shards 2 --jobs 2 --workdir '" +
-         dir.path() + "/work' --json '" + report + "'";
-}
-
-std::string monolithic_reference(const ScratchDir& dir) {
-  const std::string path = dir.path() + "/mono.json";
-  const RunResult result = run_command(
-      cli() + " sweep --algo largest-id --graph cycle --ns 64,128 --trials 10 --seed 3 --json '" +
-      path + "'");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  return read_file(path);
-}
-
-TEST(CliDrive, RetriesShardThatExitsNonzeroAndMergesIdentically) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path().empty());
-  const std::string reference = monolithic_reference(dir);
-
-  const std::string report = dir.path() + "/drive.json";
-  const RunResult result = run_command("AVGLOCAL_TEST_FAIL_MARKER='" + dir.path() + "/marker'" + " " +
-                                       cli() + drive_flags(dir, report));
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("retrying"), std::string::npos) << result.output;
-  EXPECT_NE(result.output.find("2 attempts"), std::string::npos) << result.output;
-  EXPECT_EQ(read_file(report), reference);
-}
-
-TEST(CliDrive, RetriesShardKilledBySignalAndMergesIdentically) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path().empty());
-  const std::string reference = monolithic_reference(dir);
-
-  const std::string report = dir.path() + "/drive.json";
-  const RunResult result =
-      run_command("AVGLOCAL_TEST_FAIL_MARKER='" + dir.path() + "/marker'" + " " +
-                  " AVGLOCAL_TEST_FAIL_MODE=kill " + cli() + drive_flags(dir, report));
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("retrying"), std::string::npos) << result.output;
-  EXPECT_EQ(read_file(report), reference);
-}
-
-TEST(CliDrive, GivesUpCleanlyWhenRetriesAreExhausted) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path().empty());
-  const std::string report = dir.path() + "/drive.json";
-  const RunResult result =
-      run_command("AVGLOCAL_TEST_FAIL_MARKER='" + dir.path() + "/marker'" + " " +
-                  " AVGLOCAL_TEST_FAIL_MODE=always " + cli() + drive_flags(dir, report) +
-                  " --retries 1");
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("giving up"), std::string::npos) << result.output;
-  // No report file: the drive failed before the merge.
-  std::ifstream missing(report);
-  EXPECT_FALSE(missing.good());
+TEST(CliFlagParsing, DriveIsAnUnknownSubcommand) {
+  const RunResult result = run_command(cli() + " drive --shards 2 --ns 64");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("usage: avglocal_cli"), std::string::npos) << result.output;
 }
 
 // ------------------------------------------------------- fabric processes ----
@@ -230,20 +178,28 @@ TEST(CliFabric, ThreeWorkersMatchTheMonolithicSweepByteForByte) {
   EXPECT_EQ(serve_log.find(" 0 worker(s)"), std::string::npos) << serve_log;
 }
 
-TEST(CliFabric, WorkerKilledMidUnitIsRedispatchedAndMergesIdentically) {
+/// How the casualty worker dies: `kill` is a SIGKILL, anything else (the
+/// empty default) an exit 33.
+struct FailureMode {
+  const char* name;
+  const char* env;
+};
+
+class CliFabricRedispatch : public ::testing::TestWithParam<FailureMode> {};
+
+TEST_P(CliFabricRedispatch, WorkerKilledMidUnitIsRedispatchedAndMergesIdentically) {
   ScratchDir dir;
   ASSERT_FALSE(dir.path().empty());
   const std::string reference = fabric_reference(dir);
 
   // The casualty worker starts alone, so it certainly receives a grant;
-  // its injected SIGKILL fires mid-unit (after the grant, before any
+  // its injected death fires mid-unit (after the grant, before any
   // artefact). The healthy worker only starts once the marker file proves
   // the casualty was granted - from there the coordinator must release
   // the orphaned unit and re-dispatch it.
   const RunResult result = run_script(
-      dir, std::string(kServeLine) +
-               "AVGLOCAL_TEST_FAIL_MARKER=\"$DIR/marker\" AVGLOCAL_TEST_FAIL_MODE=kill " +
-               worker_line("w1") + " &\n" +
+      dir, std::string(kServeLine) + "AVGLOCAL_TEST_FAIL_MARKER=\"$DIR/marker\" " +
+               "AVGLOCAL_TEST_FAIL_MODE=" + GetParam().env + " " + worker_line("w1") + " &\n" +
                "until [ -e \"$DIR/marker.worker-w1\" ]; do sleep 0.05; done\n" +
                worker_line("w2") + " &\nwait $serve");
   EXPECT_EQ(result.exit_code, 0) << result.output << read_file(dir.path() + "/serve.log");
@@ -252,6 +208,36 @@ TEST(CliFabric, WorkerKilledMidUnitIsRedispatchedAndMergesIdentically) {
   const std::string serve_log = read_file(dir.path() + "/serve.log");
   EXPECT_EQ(serve_log.find(" 0 re-dispatch(es)"), std::string::npos) << serve_log;
   EXPECT_NE(serve_log.find("re-dispatch(es)"), std::string::npos) << serve_log;
+}
+
+INSTANTIATE_TEST_SUITE_P(FailureModes, CliFabricRedispatch,
+                         ::testing::Values(FailureMode{"sigkill", "kill"},
+                                           FailureMode{"exit33", ""}),
+                         [](const ::testing::TestParamInfo<FailureMode>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(CliFabricLaunch, GivesUpWhenEveryWorkerDies) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string report = dir.path() + "/fabric.json";
+
+  // Both workers die on every grant, so no unit can ever complete. A
+  // launcher that waited on the coordinator alone would hang here;
+  // `timeout` bounds the test (exit 124) and takes the launcher's whole
+  // process group down with it if it does.
+  constexpr int kBoundSeconds = 30;
+  const RunResult result = run_command(
+      "AVGLOCAL_TEST_FAIL_MARKER='" + dir.path() + "/marker' AVGLOCAL_TEST_FAIL_MODE=always " +
+      "timeout " + std::to_string(kBoundSeconds) + " bash '" + launcher() + "' --cli '" + cli() +
+      "' --listen 'unix:" + dir.path() + "/fab.sock' --workers 'local local' --json '" + report +
+      "' -- --algo largest-id --graph cycle --ns 64,128 --trials 10 --seed 3");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("every worker exited before the sweep completed"),
+            std::string::npos)
+      << result.output;
+  std::ifstream missing(report);
+  EXPECT_FALSE(missing.good());
 }
 
 TEST(CliFabric, SigtermDrainsCoordinatorAndWorkerCleanly) {

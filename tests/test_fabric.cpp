@@ -10,7 +10,9 @@
 
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -294,14 +296,29 @@ std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
   backend.start();
   const support::Endpoint bound = backend.endpoint();
 
+  // Each worker's first grant waits until every worker holds one, so all
+  // of them have connected before any unit completes. Otherwise a worker
+  // thread scheduled late can find the sweep over and the socket gone.
+  std::mutex mutex;
+  std::condition_variable all_granted;
+  std::size_t granted = 0;
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t index = 0; index < workers; ++index) {
-    threads.emplace_back([bound, index] {
+    threads.emplace_back([&, bound, index] {
       core::FabricWorkerOptions worker;
       worker.endpoint = bound;
       worker.name = "w" + std::to_string(index);
       worker.threads = 1;
+      bool first_grant = true;
+      worker.on_grant = [&](const core::WorkUnit&) {
+        if (!first_grant) return;
+        first_grant = false;
+        std::unique_lock<std::mutex> lock(mutex);
+        ++granted;
+        all_granted.notify_all();
+        all_granted.wait(lock, [&] { return granted == workers; });
+      };
       const core::FabricWorkerOutcome outcome = core::run_fabric_worker(worker);
       EXPECT_FALSE(outcome.drained);
     });

@@ -295,7 +295,7 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < replies.size(); ++c) {
     clients.emplace_back([&, c] {
-      support::UnixStream stream = support::UnixStream::connect(socket_path);
+      support::Stream stream = support::Stream::connect(socket_path);
       ASSERT_TRUE(stream.write_line(request));
       ASSERT_TRUE(stream.read_line(replies[c]));
     });
@@ -309,7 +309,7 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
 
   // One connection, two pipelined requests: an extension then stats.
   {
-    support::UnixStream stream = support::UnixStream::connect(socket_path);
+    support::Stream stream = support::Stream::connect(socket_path);
     core::ScenarioSpec extended = base_spec(20);
     ASSERT_TRUE(stream.write_line(sweep_request_line(extended)));
     std::string line;
@@ -330,7 +330,7 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   // The shutdown op stops the whole daemon: run() returns, every handler
   // joins, and the socket file is unlinked.
   {
-    support::UnixStream stream = support::UnixStream::connect(socket_path);
+    support::Stream stream = support::Stream::connect(socket_path);
     ASSERT_TRUE(stream.write_line("{\"op\":\"shutdown\"}"));
     std::string line;
     ASSERT_TRUE(stream.read_line(line));
@@ -374,7 +374,7 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
 
   // The first client pins the only slot; the ping round-trip guarantees
   // its handler is live before anyone else knocks.
-  support::UnixStream holder = support::UnixStream::connect(socket_path);
+  support::Stream holder = support::Stream::connect(socket_path);
   std::string line;
   ASSERT_TRUE(holder.write_line("{\"op\":\"ping\"}"));
   ASSERT_TRUE(holder.read_line(line));
@@ -382,7 +382,7 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
   // The second connection must get an explicit busy error, then EOF - a
   // reply to back off on, not a silent drop.
   {
-    support::UnixStream rejected = support::UnixStream::connect(socket_path);
+    support::Stream rejected = support::Stream::connect(socket_path);
     ASSERT_TRUE(rejected.read_line(line));
     const support::JsonValue reply = support::parse_json(line);
     EXPECT_FALSE(reply.at("ok").as_bool());
@@ -395,7 +395,7 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
   // between are expected - that is the whole point of the reply.
   holder.close();
   for (;;) {
-    support::UnixStream retry = support::UnixStream::connect(socket_path);
+    support::Stream retry = support::Stream::connect(socket_path);
     ASSERT_TRUE(retry.write_line("{\"op\":\"ping\"}"));
     ASSERT_TRUE(retry.read_line(line));
     const support::JsonValue reply = support::parse_json(line);
@@ -419,14 +419,14 @@ TEST(Stream, ConnectWithRetryOutwaitsADaemonStillBinding) {
   // bounded-backoff retry must ride out the ENOENT window.
   std::thread late_binder([&socket_path] {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    support::UnixListener listener = support::UnixListener::bind(socket_path);
-    support::UnixStream peer = listener.accept_client();
+    support::Listener listener = support::Listener::bind(socket_path);
+    support::Stream peer = listener.accept_client();
     std::string line;
     ASSERT_TRUE(peer.read_line(line));
     ASSERT_TRUE(peer.write_line(line));  // echo, proving a usable stream
   });
 
-  support::UnixStream stream = support::Stream::connect_with_retry(endpoint, 5000);
+  support::Stream stream = support::Stream::connect_with_retry(endpoint, 5000);
   ASSERT_TRUE(stream.valid());
   ASSERT_TRUE(stream.write_line("hello"));
   std::string echoed;
@@ -448,8 +448,8 @@ TEST(Server, BindRefusesALiveDaemonAndReplacesAStaleSocket) {
   const std::string socket_path = std::string(dir_template) + "/daemon.sock";
 
   {
-    support::UnixListener live = support::UnixListener::bind(socket_path);
-    EXPECT_THROW((void)support::UnixListener::bind(socket_path), std::runtime_error);
+    support::Listener live = support::Listener::bind(socket_path);
+    EXPECT_THROW((void)support::Listener::bind(socket_path), std::runtime_error);
   }
   // A leftover path that nothing is accepting on (here: a plain file, the
   // same EADDRINUSE + failed-probe shape as a crashed daemon's socket
@@ -459,7 +459,7 @@ TEST(Server, BindRefusesALiveDaemonAndReplacesAStaleSocket) {
     stale << "stale";
   }
   EXPECT_EQ(::access(socket_path.c_str(), F_OK), 0);
-  support::UnixListener replaced = support::UnixListener::bind(socket_path);
+  support::Listener replaced = support::Listener::bind(socket_path);
   EXPECT_TRUE(replaced.valid());
   replaced.close();
   ::rmdir(dir_template);

@@ -19,6 +19,11 @@
 # - nothing here sleeps-and-hopes.
 set -euo pipefail
 
+if ((BASH_VERSINFO[0] * 100 + BASH_VERSINFO[1] < 501)); then
+  echo "fabric_launch.sh needs bash >= 5.1 (wait -n -p)" >&2
+  exit 2
+fi
+
 CLI=${AVGLOCAL_CLI:-avglocal_cli}
 REMOTE_CLI=avglocal_cli
 LISTEN=unix:/tmp/avglocal-fabric-$$.sock
@@ -85,31 +90,50 @@ if [ ! -s "$endpoint_file" ]; then
 fi
 endpoint=$(cat "$endpoint_file")
 
-worker_pids=()
 index=0
 for host in $WORKERS; do
   index=$((index + 1))
   name="w$index"
   case "$host" in
     local|localhost)
-      "$CLI" fabric-worker --connect "$endpoint" --name "$name" \
-          --threads "$WORKER_THREADS" &
+      worker=("$CLI" fabric-worker --connect "$endpoint" --name "$name"
+              --threads "$WORKER_THREADS")
       ;;
     *)
-      ssh "$host" "$REMOTE_CLI fabric-worker --connect '$endpoint' \
-          --name '$name-$host' --threads $WORKER_THREADS" &
+      worker=(ssh "$host" "$REMOTE_CLI fabric-worker --connect '$endpoint' \
+          --name '$name-$host' --threads $WORKER_THREADS")
       ;;
   esac
-  worker_pids+=($!)
+  # The subshell turns a worker's death by signal into an exit (128+N):
+  # bash drops signal-killed jobs from the table `wait -n` reads.
+  ( "${worker[@]}"; exit $? ) &
 done
 
 # The coordinator's exit is the run's verdict (0 = complete, merged,
-# byte-identical report; 1 = drained early). Workers that died mid-unit
-# are the fabric's business - their units were re-dispatched - so worker
-# exits never fail the launch.
+# byte-identical report; 1 = drained early). A worker that died mid-unit
+# is the fabric's business - its unit is re-dispatched - so a worker exit
+# alone never fails the launch. But when every worker is gone and none
+# exited 0 (a worker exits 0 only once the coordinator told it `shutdown`
+# or drained it), nothing is left to pull the remaining units and the
+# coordinator would wait on its accept loop forever: stop it instead.
+workers_left=$index
+worker_finished=0
+while :; do
+  pid=
+  rc=0
+  wait -n -p pid || rc=$?
+  # No pid: nothing left to wait for, so the coordinator is gone too.
+  if [ -z "${pid:-}" ] || [ "$pid" = "$serve_pid" ]; then break; fi
+  workers_left=$((workers_left - 1))
+  if [ "$rc" -eq 0 ]; then worker_finished=1; fi
+  if [ "$workers_left" -eq 0 ] && [ "$worker_finished" -eq 0 ]; then
+    kill -TERM "$serve_pid" 2>/dev/null || true
+    if wait "$serve_pid"; then exit 0; fi  # it completed just before the signal
+    echo "every worker exited before the sweep completed; no report written" >&2
+    exit 1
+  fi
+done
 status=0
 wait "$serve_pid" || status=$?
-for pid in "${worker_pids[@]}"; do
-  wait "$pid" || true
-done
+wait
 exit "$status"
