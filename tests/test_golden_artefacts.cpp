@@ -37,6 +37,13 @@ const GoldenCase kCases[] = {
     {"view-greedy-gnp.json", "greedy", "gnp", 12},
     {"message-largest-id-cycle.json", "largest-id-msg", "cycle", 12},
     {"message-local3-cycle.json", "local3", "cycle", 12},
+    // Schedule-driven ring algorithms, on both sides of the closure radius:
+    // cv3 at n=12 (t6=2, T=5) evaluates an open window, at n=9 the closed
+    // ring; mis at n=12 (T=7) closes, at n=64 it stays open.
+    {"view-cv3-cycle-open.json", "cv3", "cycle", 12},
+    {"view-cv3-cycle-closed.json", "cv3", "cycle", 9},
+    {"view-mis-cycle-closed.json", "mis", "cycle", 12},
+    {"view-mis-cycle-open.json", "mis", "cycle", 64},
 };
 
 /// One deterministic full-plan shard artefact per case; every knob pinned
