@@ -22,11 +22,14 @@
 //    every run;
 //  * the min_radius layer-jump vs the stepwise batched engine on the
 //    cole-vishkin schedule, with a bit-identity check;
+//  * view-evaluation heap traffic: every registry view algorithm's
+//    reset() + on_view cycle after warm-up (expected: zero);
 //  * a per-phase breakdown of the serial batched sweep (transpose build,
 //    BFS growth, id gather, algorithm eval) and a machine/ISA block so
 //    future regressions are attributable.
 //
 // Usage: bench_regression [--smoke] [--out PATH] [--n N] [--trials T]
+// A malformed --n/--trials value exits 2 naming the flag.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -43,6 +46,7 @@
 
 #include "algo/cole_vishkin.hpp"
 #include "algo/largest_id.hpp"
+#include "algo/registry.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/message_sweep.hpp"
 #include "core/remote_backend.hpp"
@@ -56,9 +60,11 @@
 #include "local/flood_probe.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
+#include "local/view_eval_probe.hpp"
 #include "support/aligned.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/json_writer.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 #include "support/thread_pool.hpp"
@@ -821,6 +827,48 @@ LayerJumpNumbers bench_layer_jump(std::size_t n, std::size_t trials, std::uint64
 }
 
 // ------------------------------------------------------------------------
+// View-evaluation heap traffic: every registry view algorithm, warmed up on
+// its largest view, then 1000 reset() + on_view calls on equal or smaller
+// ring views (open windows at n=1024, closed rings at n=9) - the batched
+// engine's per-(vertex, trial) duty cycle. Expected: zero.
+// ------------------------------------------------------------------------
+
+struct ViewEvalAllocs {
+  std::size_t calls = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> allocs_by_algorithm;  ///< summed over rings
+  double allocs_per_eval_after_warmup = 0;  ///< worst algorithm
+};
+
+ViewEvalAllocs bench_view_eval_allocs() {
+  ViewEvalAllocs out;
+  out.calls = 1000;
+  const auto& registry = algo::AlgorithmRegistry::global();
+  struct Ring {
+    std::size_t n;
+    std::size_t max_radius;
+  };
+  const Ring rings[] = {{1024, 12}, {9, 4}};
+  for (const std::string& name : registry.names(algo::AlgorithmKind::kView)) {
+    std::uint64_t allocations = 0;
+    for (const Ring& ring : rings) {
+      support::Xoshiro256 rng(ring.n);
+      const auto g = graph::make_cycle(ring.n);
+      const auto ids = graph::IdAssignment::random(ring.n, rng);
+      const auto views = local::grown_views(g, ids, ring.max_radius, /*roots=*/4);
+      allocations +=
+          local::view_eval_allocs_after_warmup(registry.at(name).view(ring.n), views, out.calls)
+              .allocations;
+    }
+    out.allocs_by_algorithm.emplace_back(name, allocations);
+    out.allocs_per_eval_after_warmup =
+        std::max(out.allocs_per_eval_after_warmup,
+                 static_cast<double>(allocations) /
+                     static_cast<double>(out.calls * std::size(rings)));
+  }
+  return out;
+}
+
+// ------------------------------------------------------------------------
 // Per-phase breakdown of the serial batched view sweep, so a future
 // throughput regression names its phase instead of hiding in one number.
 // cv3 rather than largest-id: largest-id declares ids_only_view() and
@@ -1276,6 +1324,19 @@ FabricNumbers bench_fabric(bool smoke) {
   return out;
 }
 
+/// Parses a positive count flag the way the CLI does: garbage, signs,
+/// overflow and 0 are refused by name instead of silently becoming a
+/// zero-size run.
+bool count_flag(const char* flag, const char* text, std::size_t& out) {
+  const auto parsed = support::parse_u64(text);
+  if (!parsed || *parsed == 0) {
+    std::cerr << "invalid value '" << text << "' for " << flag << "\n";
+    return false;
+  }
+  out = static_cast<std::size_t>(*parsed);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1293,9 +1354,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = std::strtoull(argv[++i], nullptr, 10);
+      if (!count_flag("--n", argv[++i], n)) return 2;
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = std::strtoull(argv[++i], nullptr, 10);
+      if (!count_flag("--trials", argv[++i], trials)) return 2;
     } else {
       std::cerr << "usage: bench_regression [--smoke] [--out PATH] [--n N] [--trials T]\n";
       return 1;
@@ -1323,6 +1384,7 @@ int main(int argc, char** argv) {
   const ArenaWordNumbers arena_words = bench_arena_words(smoke);
   const LayerJumpNumbers layer_jump = bench_layer_jump(n, trials, /*seed=*/42);
   const local::BatchPhaseStats phases = bench_phase_breakdown(n, trials, /*seed=*/42);
+  const ViewEvalAllocs view_eval = bench_view_eval_allocs();
   const LargeScaleNumbers large_scale = bench_large_scale(smoke);
   const ServeNumbers serve = bench_serve(smoke);
   const FabricNumbers fabric = bench_fabric(smoke);
@@ -1360,6 +1422,15 @@ int main(int argc, char** argv) {
   json.key("gather_sec").value(phases.gather_sec);
   json.key("eval_sec").value(phases.eval_sec);
   json.end_object();
+  json.end_object();
+  json.key("view_eval").begin_object();
+  json.key("calls_per_ring").value(static_cast<std::uint64_t>(view_eval.calls));
+  json.key("allocs_after_warmup").begin_object();
+  for (const auto& [name, allocations] : view_eval.allocs_by_algorithm) {
+    json.key(name).value(allocations);
+  }
+  json.end_object();
+  json.key("allocs_per_eval_after_warmup").value(view_eval.allocs_per_eval_after_warmup);
   json.end_object();
   json.key("scenario_layer").begin_object();
   json.key("direct_trials_per_sec").value(dispatch.direct_trials_per_sec);
@@ -1459,6 +1530,11 @@ int main(int argc, char** argv) {
   if (message_sweep.allocs_per_round_after_warmup != 0) {
     std::cerr << "bench_regression: message sweep path allocated per round after warm-up\n";
     return 6;
+  }
+  if (view_eval.allocs_per_eval_after_warmup != 0) {
+    std::cerr << "bench_regression: a view algorithm allocated in reset() + on_view after "
+                 "warm-up\n";
+    return 15;
   }
   // The sweep path's reason to exist: rebinding one engine must not be
   // materially slower than rebuilding it per trial. Construction is small

@@ -81,6 +81,7 @@
 #include "support/csv.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/socket.hpp"
 
@@ -102,17 +103,7 @@ local::ViewSemantics parse_semantics(const std::string& name) {
 // full-string doubles), overflow rejected, and on failure the offending
 // flag is named on stderr and the parser bails with the usage exit (2).
 
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
-  return value;
-}
+using support::parse_u64;
 
 std::optional<double> parse_f64(const std::string& text) {
   if (text.empty()) return std::nullopt;

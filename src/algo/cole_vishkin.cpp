@@ -1,11 +1,14 @@
 #include "algo/cole_vishkin.hpp"
 
+#include <algorithm>
+#include <array>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "algo/colour_reduction.hpp"
 #include "local/view.hpp"
 #include "local/wire.hpp"
+#include "support/annotations.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
 
@@ -89,44 +92,52 @@ class ColeVishkinView final : public local::ViewAlgorithm {
       : t6_(cv_iterations_to_six(support::bit_width_u64(n))),
         target_radius_(cv_schedule_rounds(n)) {}
 
-  std::optional<std::int64_t> on_view(const local::BallView& view) override {
+  AVGLOCAL_HOT std::optional<std::int64_t> on_view(const local::BallView& view) override {
     if (!view.covers_graph && static_cast<std::size_t>(view.radius) < target_radius_) {
       return std::nullopt;
     }
-    const auto ring = local::try_extract_ring_view(view);
+    const auto ring = local::try_extract_ring_view(view, ring_scratch_);
     AVGLOCAL_REQUIRE_MSG(ring.has_value(), "Cole-Vishkin requires an oriented cycle");
+    Buffer buffer;
     if (ring->closed) {
       // Small ring: replay the schedule on the whole cycle.
-      std::vector<std::uint64_t> ids;
-      ids.reserve(1 + ring->cw.size());
-      ids.push_back(ring->own);
-      ids.insert(ids.end(), ring->cw.begin(), ring->cw.end());
-      const auto colours = cv_colour_ring(ids, t6_);
+      const std::size_t n = ring->seen_count();
+      AVGLOCAL_REQUIRE_MSG(n <= buffer.size(), "closed ring wider than the schedule radius");
+      buffer[0] = ring->own;
+      std::copy(ring->cw.begin(), ring->cw.end(), buffer.begin() + 1);
+      const std::span<std::uint64_t> colours(buffer.data(), n);
+      cv_colour_ring(colours, t6_);
       return static_cast<std::int64_t>(colours[0]);
     }
     // Open segment: the final colour of a vertex depends on 3 predecessors
     // and t6+3 successors; our radius-T ball provides both.
-    AVGLOCAL_REQUIRE(ring->ccw.size() >= 3 &&
-                     ring->cw.size() >= static_cast<std::size_t>(t6_) + 3);
-    std::vector<std::uint64_t> window;
-    window.reserve(7 + static_cast<std::size_t>(t6_));
-    for (std::size_t i = 3; i >= 1; --i) window.push_back(ring->ccw[i - 1]);
-    window.push_back(ring->own);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(t6_) + 3; ++i) {
-      window.push_back(ring->cw[i]);
-    }
-    const SegmentColours colours = cv_colour_segment(window, t6_);
+    const std::size_t after = static_cast<std::size_t>(t6_) + 3;
+    AVGLOCAL_REQUIRE(ring->ccw.size() >= 3 && ring->cw.size() >= after);
+    for (std::size_t i = 0; i < 3; ++i) buffer[i] = ring->ccw[2 - i];
+    buffer[3] = ring->own;
+    std::copy_n(ring->cw.begin(), after, buffer.begin() + 4);
+    const SegmentColours colours =
+        cv_colour_segment(std::span<std::uint64_t>(buffer.data(), 4 + after), t6_);
     return static_cast<std::int64_t>(colours.at(3));  // own position
   }
 
-  bool reset() noexcept override { return true; }  // no per-vertex state
+  /// No per-vertex state; the ring scratch keeps its capacity.
+  bool reset() noexcept override { return true; }
 
   /// Waits for the fixed schedule radius unless the ball closes first.
   std::size_t min_radius() const noexcept override { return target_radius_; }
 
  private:
+  /// Stack buffer the identifiers are coloured in. A ball closes by the
+  /// schedule radius T <= kMaxCvScheduleRounds only on a ring of at most
+  /// 2T+1 vertices; an open window holds t6+7 identifiers.
+  static constexpr std::size_t kBufferCapacity = 2 * kMaxCvScheduleRounds + 1;
+  static_assert(kMaxCvIterations + 7 <= kBufferCapacity);
+  using Buffer = std::array<std::uint64_t, kBufferCapacity>;
+
   int t6_;
   std::size_t target_radius_;
+  local::RingScratch ring_scratch_;
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "support/annotations.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
 
@@ -14,17 +15,29 @@ std::uint64_t cv_reduce(std::uint64_t colour, std::uint64_t successor_colour) {
   return 2 * static_cast<std::uint64_t>(i) + bit;
 }
 
-int cv_iterations_to_six(int bits) {
-  AVGLOCAL_EXPECTS(bits >= 1 && bits <= 64);
+namespace {
+
+/// The level recurrence behind cv_iterations_to_six, usable at compile time.
+constexpr int iterations_to_six(int bits) noexcept {
   // Colours < 2^L map to colours <= 2*(L-1)+1, i.e. < 2^bit_width(2L-1).
   int level = bits;
   int steps = 0;
   while (level > 3) {
-    level = support::bit_width_u64(static_cast<std::uint64_t>(2 * level - 1));
+    level = std::bit_width(static_cast<std::uint64_t>(2 * level - 1));
     ++steps;
   }
   // One more step takes colours < 8 (3 bits) to colours < 6.
   return steps + 1;
+}
+
+static_assert(iterations_to_six(64) == kMaxCvIterations,
+              "kMaxCvIterations must bound the schedule of every 64-bit n");
+
+}  // namespace
+
+int cv_iterations_to_six(int bits) {
+  AVGLOCAL_EXPECTS(bits >= 1 && bits <= 64);
+  return iterations_to_six(bits);
 }
 
 std::size_t cv_schedule_rounds(std::size_t n) {
@@ -47,55 +60,49 @@ std::uint64_t smallest_free(std::uint64_t left, std::uint64_t right) {
 
 }  // namespace
 
-std::vector<std::uint64_t> cv_colour_ring(std::span<const std::uint64_t> ring_ids, int t6) {
-  const std::size_t n = ring_ids.size();
+void cv_colour_ring(std::span<std::uint64_t> ring, int t6) {
+  const std::size_t n = ring.size();
   AVGLOCAL_EXPECTS(n >= 3);
-  std::vector<std::uint64_t> colour(ring_ids.begin(), ring_ids.end());
-  std::vector<std::uint64_t> next(n);
+  // In place: ascending j reads ring[j+1] before overwriting it, so only
+  // the wrap-around successor of the last position needs saving.
   for (int k = 0; k < t6; ++k) {
-    for (std::size_t i = 0; i < n; ++i) next[i] = cv_reduce(colour[i], colour[(i + 1) % n]);
-    colour.swap(next);
+    const std::uint64_t first = ring[0];
+    for (std::size_t i = 0; i + 1 < n; ++i) ring[i] = cv_reduce(ring[i], ring[i + 1]);
+    ring[n - 1] = cv_reduce(ring[n - 1], first);
   }
+  // Recolouring class cls in place equals a simultaneous step: the
+  // colouring is valid, so no neighbour of a cls vertex is in cls, and
+  // every value an update reads is one this step leaves unchanged.
   for (std::uint64_t cls = 5; cls >= 3; --cls) {
     for (std::size_t i = 0; i < n; ++i) {
-      next[i] = (colour[i] == cls)
-                    ? smallest_free(colour[(i + n - 1) % n], colour[(i + 1) % n])
-                    : colour[i];
+      if (ring[i] == cls) ring[i] = smallest_free(ring[(i + n - 1) % n], ring[(i + 1) % n]);
     }
-    colour.swap(next);
   }
-  return colour;
 }
 
-SegmentColours cv_colour_segment(std::span<const std::uint64_t> window, int t6) {
+AVGLOCAL_HOT SegmentColours cv_colour_segment(std::span<std::uint64_t> window, int t6) {
   const std::size_t m = window.size();
   AVGLOCAL_EXPECTS_MSG(m >= static_cast<std::size_t>(t6) + 7,
                        "window too small for any final colour");
   // Reduction: after iteration k, colours are valid for positions
   // [0, m-1-k]. Run in place over a shrinking suffix bound.
-  std::vector<std::uint64_t> colour(window.begin(), window.end());
   std::size_t valid_end = m - 1;  // inclusive
   for (int k = 0; k < t6; ++k) {
-    for (std::size_t j = 0; j < valid_end; ++j) colour[j] = cv_reduce(colour[j], colour[j + 1]);
+    for (std::size_t j = 0; j < valid_end; ++j) window[j] = cv_reduce(window[j], window[j + 1]);
     --valid_end;
   }
-  // Eliminations consume one position from each side per step.
+  // Eliminations consume one position from each side per step; in place
+  // for the same reason as in cv_colour_ring. The two boundary positions
+  // of each step are never written.
   std::size_t lo = 0;
-  std::vector<std::uint64_t> next = colour;
   for (std::uint64_t cls = 5; cls >= 3; --cls) {
     for (std::size_t j = lo + 1; j < valid_end; ++j) {
-      next[j] =
-          (colour[j] == cls) ? smallest_free(colour[j - 1], colour[j + 1]) : colour[j];
+      if (window[j] == cls) window[j] = smallest_free(window[j - 1], window[j + 1]);
     }
     ++lo;
     --valid_end;
-    for (std::size_t j = lo; j <= valid_end; ++j) colour[j] = next[j];
   }
-  SegmentColours out;
-  out.first = lo;  // == 3
-  out.colours.assign(colour.begin() + static_cast<std::ptrdiff_t>(lo),
-                     colour.begin() + static_cast<std::ptrdiff_t>(valid_end + 1));
-  return out;
+  return {lo, std::span<const std::uint64_t>(window).subspan(lo, valid_end + 1 - lo)};  // lo == 3
 }
 
 }  // namespace avglocal::algo

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "local/wire.hpp"
@@ -12,8 +13,8 @@ namespace avglocal::algo {
 
 namespace {
 
-/// Smallest colour not used by the given neighbour colours.
-std::int64_t smallest_free(std::vector<std::int64_t> used) {
+/// Smallest colour not used by the given neighbour colours (sorts `used`).
+std::int64_t smallest_free(std::span<std::int64_t> used) {
   std::sort(used.begin(), used.end());
   std::int64_t colour = 0;
   for (const std::int64_t c : used) {
@@ -50,7 +51,7 @@ class GreedyColouringMessages final : public local::Algorithm {
         higher_colours.push_back(*nbr_colour_[port]);
       }
       if (ready) {
-        colour_ = smallest_free(std::move(higher_colours));
+        colour_ = smallest_free(higher_colours);
         ctx.output(*colour_);
       }
     }
@@ -83,39 +84,46 @@ class GreedyColouringView final : public local::ViewAlgorithm {
     // Replay the greedy order inside the ball: a vertex is *determined* when
     // all its ports are resolved and every higher-identifier neighbour is
     // determined. Processing in decreasing identifier order needs one pass.
+    // The buffers are members: they grow to the largest ball and stay.
     const std::size_t size = view.size();
-    std::vector<std::size_t> order(size);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&view](std::size_t a, std::size_t b) {
+    order_.resize(size);
+    std::iota(order_.begin(), order_.end(), local::LocalVertex{0});
+    std::sort(order_.begin(), order_.end(), [&view](local::LocalVertex a, local::LocalVertex b) {
       return view.ids[a] > view.ids[b];
     });
-    std::vector<std::optional<std::int64_t>> colour(size);
-    for (const std::size_t u : order) {
+    colour_.assign(size, std::nullopt);
+    for (const local::LocalVertex u : order_) {
       bool resolved = true;
-      std::vector<std::int64_t> higher_colours;
+      higher_colours_.clear();
       for (const auto target : view.ports[u]) {
         if (target == local::kUnknownTarget) {
           resolved = false;
           break;
         }
         if (view.ids[target] > view.ids[u]) {
-          if (!colour[target]) {
+          if (!colour_[target]) {
             resolved = false;
             break;
           }
-          higher_colours.push_back(*colour[target]);
+          higher_colours_.push_back(*colour_[target]);
         }
       }
-      if (resolved) colour[u] = smallest_free(std::move(higher_colours));
+      if (resolved) colour_[u] = smallest_free(higher_colours_);
     }
-    return colour[0];  // the root's colour, if determined
+    return colour_[0];  // the root's colour, if determined
   }
 
-  bool reset() noexcept override { return true; }  // no per-vertex state
+  /// No per-vertex state; the replay buffers keep their capacity.
+  bool reset() noexcept override { return true; }
 
   /// At radius 0 a non-covering root has unresolved ports, so its greedy
   /// colour cannot be determined yet.
   std::size_t min_radius() const noexcept override { return 1; }
+
+ private:
+  std::vector<local::LocalVertex> order_;          // ball vertices, decreasing id
+  std::vector<std::optional<std::int64_t>> colour_;  // determined colours
+  std::vector<std::int64_t> higher_colours_;       // one vertex's exclusions
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/annotations.hpp"
 #include "support/assert.hpp"
 #include "support/narrow.hpp"
 
@@ -25,62 +26,75 @@ std::uint64_t BallView::max_id() const noexcept {
   return *std::max_element(ids.begin(), ids.end());
 }
 
-std::optional<RingView> try_extract_ring_view(const BallView& view) {
-  if (view.empty() || view.degree_of(0) != 2) return std::nullopt;
+namespace {
 
-  // Walks along one direction starting on `first_port` of the root, until an
-  // unknown edge, a non-ring vertex, or wrap-around to the root.
-  struct WalkResult {
-    std::vector<std::uint64_t> ids;
-    bool wrapped = false;
-    bool malformed = false;
-  };
-  const auto walk = [&view](std::size_t first_port) {
-    WalkResult out;
-    LocalVertex prev = 0;
-    LocalVertex cur = view.ports[0][first_port];
-    while (cur != kUnknownTarget && cur != 0) {
-      if (view.degree_of(cur) != 2) {
-        out.malformed = true;
-        return out;
-      }
-      out.ids.push_back(view.ids[cur]);
-      const LocalVertex a = view.ports[cur][0];
-      const LocalVertex b = view.ports[cur][1];
-      LocalVertex next = kUnknownTarget;
-      if (a == prev) {
-        next = b;
-      } else if (b == prev) {
-        next = a;
-      } else {
-        // The edge back to prev is not resolved on cur's side; we cannot
-        // safely pick a forward direction.
-        return out;
-      }
-      prev = cur;
-      cur = next;
+/// Outcome of one directional ring walk.
+struct RingWalk {
+  std::size_t length = 0;  ///< identifiers written
+  bool wrapped = false;    ///< came back round to the root
+  bool malformed = false;  ///< met a vertex that is not a ring vertex
+};
+
+/// Walks along one direction starting on `first_port` of the root, writing
+/// the identifiers met to `out`, until an unknown edge, a non-ring vertex,
+/// or wrap-around to the root. On a cycle the walk meets each non-root ball
+/// vertex at most once, so view.size() slots always suffice; running out of
+/// slots means the port table is not a ring's and counts as malformed.
+AVGLOCAL_HOT RingWalk walk_ring(const BallView& view, std::size_t first_port,
+                                std::span<std::uint64_t> out) noexcept {
+  RingWalk walk;
+  LocalVertex prev = 0;
+  LocalVertex cur = view.ports[0][first_port];
+  while (cur != kUnknownTarget && cur != 0) {
+    if (view.degree_of(cur) != 2 || walk.length == out.size()) {
+      walk.malformed = true;
+      return walk;
     }
-    out.wrapped = (cur == 0);
-    return out;
-  };
+    out[walk.length++] = view.ids[cur];
+    const LocalVertex a = view.ports[cur][0];
+    const LocalVertex b = view.ports[cur][1];
+    LocalVertex next = kUnknownTarget;
+    if (a == prev) {
+      next = b;
+    } else if (b == prev) {
+      next = a;
+    } else {
+      // The edge back to prev is not resolved on cur's side; we cannot
+      // safely pick a forward direction.
+      return walk;
+    }
+    prev = cur;
+    cur = next;
+  }
+  walk.wrapped = (cur == 0);
+  return walk;
+}
+
+}  // namespace
+
+std::optional<RingView> try_extract_ring_view(const BallView& view, RingScratch& scratch) {
+  if (view.empty() || view.degree_of(0) != 2) return std::nullopt;
+  // Warm-up only: the buffers grow to the largest ball seen and stay there.
+  if (scratch.cw_.size() < view.size()) {
+    scratch.cw_.resize(view.size());
+    scratch.ccw_.resize(view.size());
+  }
 
   RingView ring;
   ring.own = view.root_id();
-  WalkResult cw = walk(0);
+  const RingWalk cw = walk_ring(view, 0, scratch.cw_);
   if (cw.malformed) return std::nullopt;
+  ring.cw = std::span<const std::uint64_t>(scratch.cw_).first(cw.length);
   if (cw.wrapped) {
     // The ball covers the whole cycle: report everything on the clockwise
     // side so each vertex appears exactly once.
-    ring.cw = std::move(cw.ids);
     ring.closed = true;
     return ring;
   }
-  WalkResult ccw = walk(1);
+  const RingWalk ccw = walk_ring(view, 1, scratch.ccw_);
   if (ccw.malformed) return std::nullopt;
   AVGLOCAL_ASSERT(!ccw.wrapped);  // would have wrapped clockwise first
-  ring.cw = std::move(cw.ids);
-  ring.ccw = std::move(ccw.ids);
-  ring.closed = false;
+  ring.ccw = std::span<const std::uint64_t>(scratch.ccw_).first(ccw.length);
   return ring;
 }
 

@@ -151,20 +151,37 @@ struct BallView {
 /// identifier k+1 steps counter-clockwise. When the ball closes (covers the
 /// cycle), the walks are truncated so each vertex appears exactly once:
 /// cw covers the whole remaining cycle and ccw is empty.
+///
+/// Non-owning: cw and ccw point into the RingScratch the view was extracted
+/// into and stay valid until the next extraction into that scratch.
 struct RingView {
   std::uint64_t own = 0;
-  std::vector<std::uint64_t> cw;
-  std::vector<std::uint64_t> ccw;
+  std::span<const std::uint64_t> cw;
+  std::span<const std::uint64_t> ccw;
   bool closed = false;
 
   /// Number of distinct vertices visible (including the root).
   std::size_t seen_count() const noexcept { return 1 + cw.size() + ccw.size(); }
 };
 
-/// Extracts a RingView from a ball over a cycle-with-oriented-ports graph.
+/// Caller-owned walk buffers for try_extract_ring_view. They only grow, so
+/// one scratch reused across views stops allocating once it has seen the
+/// largest ball - the per-(vertex, trial) evaluation of ring algorithms
+/// keeps one as a member and extracts into it on every call.
+class RingScratch {
+ private:
+  friend std::optional<RingView> try_extract_ring_view(const BallView& view,
+                                                       RingScratch& scratch);
+  std::vector<std::uint64_t> cw_;
+  std::vector<std::uint64_t> ccw_;
+};
+
+/// Extracts a RingView from a ball over a cycle-with-oriented-ports graph,
+/// walking into `scratch` (see RingView for the lifetime of the result).
 /// Returns nullopt if the root does not look like a ring vertex (degree 2
-/// with the expected port structure).
-std::optional<RingView> try_extract_ring_view(const BallView& view);
+/// with the expected port structure) or the walk meets a vertex of another
+/// degree.
+std::optional<RingView> try_extract_ring_view(const BallView& view, RingScratch& scratch);
 
 /// Incrementally grows the ball view of `root` one radius step at a time.
 ///

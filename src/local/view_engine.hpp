@@ -38,6 +38,10 @@ class ViewAlgorithm {
   /// return true; the default returns false and the engine constructs a new
   /// instance instead. The batched engine calls this once per
   /// (vertex, assignment), so supporting it removes one allocation per run.
+  /// Scratch buffers (ring walks, replay orders) survive reset() with their
+  /// capacity: after warm-up on the largest view, reset() + on_view on views
+  /// no larger must not allocate (pinned for every registry algorithm by
+  /// ViewEvalAlloc in tests/test_engine_alloc.cpp and bench_regression).
   virtual bool reset() noexcept { return false; }
 
   /// Smallest radius at which this instance could possibly commit on a view

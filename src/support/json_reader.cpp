@@ -162,7 +162,26 @@ class JsonParser {
     }
   }
 
+  /// Counts one level of container nesting for its lifetime. The parser
+  /// recurses per level, so without the cap a line of nested brackets
+  /// could exhaust the stack of whatever thread parses it.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(JsonParser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxJsonDepth) {
+        parser_.error("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+    }
+    ~NestingGuard() { --parser_.depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    JsonParser& parser_;
+  };
+
   JsonValue parse_object() {
+    const NestingGuard nesting(*this);
     expect('{');
     JsonValue value;
     value.type_ = JsonValue::Type::kObject;
@@ -183,6 +202,7 @@ class JsonParser {
   }
 
   JsonValue parse_array() {
+    const NestingGuard nesting(*this);
     expect('[');
     JsonValue value;
     value.type_ = JsonValue::Type::kArray;
@@ -280,6 +300,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open containers around the current position
 };
 
 JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }

@@ -56,4 +56,8 @@ class JsonValue {
 /// non-whitespace rejected). Throws std::runtime_error on malformed input.
 JsonValue parse_json(std::string_view text);
 
+/// Deepest container nesting parse_json accepts; deeper documents are
+/// rejected with the parser's usual runtime_error.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 }  // namespace avglocal::support

@@ -1,7 +1,8 @@
 // Verifies the flat-memory claims of the message engine with a real
 // allocation counter: after a short warm-up in which the arena and inbox
 // grow to their high-water marks, the engine's round loop must perform
-// zero heap allocations. Also unit-tests the MessageArena itself.
+// zero heap allocations. The same hook pins the view algorithms' reset() +
+// on_view cycle at zero after warm-up. Also unit-tests the MessageArena.
 //
 // This binary installs the allocation-counting global operator new/delete;
 // it must stay its own test executable.
@@ -10,14 +11,17 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "algo/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
 #include "local/flood_probe.hpp"
 #include "local/message_arena.hpp"
+#include "local/view_eval_probe.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/rng.hpp"
 
@@ -140,6 +144,39 @@ TEST(MessageEngineAlloc, SteadyStateOnStar) {
     EXPECT_EQ(samples[i + 1].allocations - samples[i].allocations, 0u)
         << "round " << i + 1 << " allocated";
   }
+}
+
+// The view engine's per-(vertex, trial) duty cycle: the batched engine
+// keeps one instance per trial slot and calls reset() + on_view on it. For
+// every registry view algorithm, once an instance has evaluated the largest
+// view, further evaluations of equal or smaller views must not touch the
+// heap - on open ring windows (n=1024, radii up to 12, past every
+// schedule radius) and on closed rings (n=9 covers at radius 4).
+TEST(ViewEvalAlloc, RegistryViewAlgorithmsAreAllocationFreeAfterWarmup) {
+#ifdef NDEBUG
+  constexpr std::size_t kCalls = 1000;
+  const auto& registry = algo::AlgorithmRegistry::global();
+  const auto names = registry.names(algo::AlgorithmKind::kView);
+  ASSERT_GE(names.size(), 5u);
+  struct Ring {
+    std::size_t n;
+    std::size_t max_radius;
+  };
+  for (const Ring ring : {Ring{1024, 12}, Ring{9, 4}}) {
+    support::Xoshiro256 rng(ring.n);
+    const auto g = graph::make_cycle(ring.n);
+    const auto ids = graph::IdAssignment::random(ring.n, rng);
+    const auto views = local::grown_views(g, ids, ring.max_radius, /*roots=*/4);
+    for (const std::string& name : names) {
+      const local::ViewAlgorithmFactory factory = registry.at(name).view(ring.n);
+      const auto counts = local::view_eval_allocs_after_warmup(factory, views, kCalls);
+      EXPECT_EQ(counts.allocations, 0u) << name << " allocated on the n=" << ring.n << " ring";
+      EXPECT_EQ(counts.bytes, 0u) << name << " n=" << ring.n;
+    }
+  }
+#else
+  GTEST_SKIP() << "debug builds may allocate in assertion paths";
+#endif
 }
 
 TEST(MessageArena, PushHasPayloadRoundTrip) {

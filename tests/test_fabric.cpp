@@ -199,6 +199,8 @@ TEST(FabricCoordinator, HandleRequestSpeaksTheProtocol) {
   EXPECT_NE(malformed.line.find("\"ok\":false"), std::string::npos);
   const auto unknown = coordinator.handle_request(0, "{\"op\":\"frobnicate\"}");
   EXPECT_NE(unknown.line.find("\"ok\":false"), std::string::npos);
+  const auto deep = coordinator.handle_request(0, std::string(100'000, '['));
+  EXPECT_NE(deep.line.find("\"ok\":false"), std::string::npos);
 
   const auto grant = coordinator.handle_request(0, work_request_line());
   const support::JsonValue grant_reply = support::parse_json(grant.line);

@@ -342,6 +342,42 @@ TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
   ::rmdir(dir_template);
 }
 
+TEST(Server, DeeplyNestedRequestIsRefusedAndTheConnectionSurvives) {
+  const std::string deep(100'000, '[');
+  {
+    core::ServeOptions options;
+    options.socket_path = "/tmp/unused-nesting-test.sock";  // never bound
+    core::Server server(options);
+    const auto reply = server.handle_request(deep);
+    EXPECT_NE(reply.line.find("\"ok\":false"), std::string::npos);
+    EXPECT_FALSE(reply.shutdown);
+  }
+
+  char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string socket_path = std::string(dir_template) + "/daemon.sock";
+  core::ServeOptions options;
+  options.socket_path = socket_path;
+  core::Server server(options);
+  server.start();
+  std::thread accept_thread([&server] { server.run(); });
+  {
+    support::Stream stream = support::Stream::connect(socket_path);
+    ASSERT_TRUE(stream.write_line(deep));
+    std::string line;
+    ASSERT_TRUE(stream.read_line(line));
+    EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
+    // The same connection keeps serving.
+    ASSERT_TRUE(stream.write_line("{\"op\":\"ping\"}"));
+    ASSERT_TRUE(stream.read_line(line));
+    EXPECT_EQ(line, "{\"ok\":true,\"op\":\"ping\"}");
+    ASSERT_TRUE(stream.write_line("{\"op\":\"shutdown\"}"));
+    ASSERT_TRUE(stream.read_line(line));
+  }
+  accept_thread.join();
+  ::rmdir(dir_template);
+}
+
 TEST(Server, RequestStopInterruptsABlockedAcceptLoop) {
   char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);

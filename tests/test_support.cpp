@@ -375,6 +375,20 @@ TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(support::parse_json("-1").as_u64(), std::runtime_error);
 }
 
+TEST(JsonReader, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // One request line of nested brackets used to recurse until the stack
+  // ran out; it must be an ordinary parse error.
+  EXPECT_THROW(support::parse_json(std::string(100'000, '[')), std::runtime_error);
+  const std::size_t cap = support::kMaxJsonDepth;
+  const std::string at_cap = std::string(cap, '[') + std::string(cap, ']');
+  EXPECT_EQ(support::parse_json(at_cap).size(), 1u);
+  EXPECT_THROW(support::parse_json("[" + at_cap + "]"), std::runtime_error);
+  std::string objects;
+  for (std::size_t i = 0; i <= cap; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(cap + 1, '}');
+  EXPECT_THROW(support::parse_json(objects), std::runtime_error);
+}
+
 TEST(RadiusHistogram, CountsMergesAndQuantiles) {
   local::RadiusHistogram hist;
   EXPECT_TRUE(hist.empty());

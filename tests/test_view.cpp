@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
@@ -157,7 +158,8 @@ TEST_P(RingViewExtraction, WalksMatchArcOrder) {
   const graph::Vertex root = 0;
   BallGrower grower(g, ids, root, semantics, scratch);
   for (std::size_t r = 0; r < radius; ++r) grower.grow();
-  const auto ring = local::try_extract_ring_view(grower.view());
+  local::RingScratch ring_scratch;
+  const auto ring = local::try_extract_ring_view(grower.view(), ring_scratch);
   ASSERT_TRUE(ring.has_value());
   EXPECT_EQ(ring->own, 1u);
   if (ring->closed) {
@@ -192,7 +194,65 @@ TEST(RingView, NonRingRootIsRejected) {
   BallGrower::Scratch scratch(5);
   BallGrower grower(g, ids, 0, ViewSemantics::kInducedBall, scratch);
   grower.grow();
-  EXPECT_FALSE(local::try_extract_ring_view(grower.view()).has_value());
+  local::RingScratch ring_scratch;
+  EXPECT_FALSE(local::try_extract_ring_view(grower.view(), ring_scratch).has_value());
+}
+
+/// Owned copy of a RingView: extraction results point into their scratch,
+/// so comparing two of them across later extractions needs a copy.
+struct RingCopy {
+  std::uint64_t own = 0;
+  std::vector<std::uint64_t> cw;
+  std::vector<std::uint64_t> ccw;
+  bool closed = false;
+
+  explicit RingCopy(const local::RingView& ring)
+      : own(ring.own),
+        cw(ring.cw.begin(), ring.cw.end()),
+        ccw(ring.ccw.begin(), ring.ccw.end()),
+        closed(ring.closed) {}
+
+  bool operator==(const RingCopy&) const = default;
+};
+
+TEST(RingView, ReusedScratchMatchesFreshScratch) {
+  // One scratch across a long open walk, a shorter open walk, a closed ring
+  // larger than both (the buffers grow) and a rejected star root: every
+  // result must equal a fresh scratch's, with no ids left over from an
+  // earlier, longer walk.
+  struct Step {
+    graph::Graph g;
+    std::size_t radius;
+    std::size_t cw_len;  // expected walk lengths when accepted
+    std::size_t ccw_len;
+    bool accepted;
+  };
+  const Step steps[] = {
+      {graph::make_cycle(16), 4, 4, 4, true},
+      {graph::make_cycle(16), 2, 2, 2, true},
+      {graph::make_cycle(11), 5, 10, 0, true},  // closed
+      {graph::make_star(5), 1, 0, 0, false},
+  };
+  support::Xoshiro256 rng(11);
+  local::RingScratch reused;
+  for (const Step& step : steps) {
+    const std::size_t n = step.g.vertex_count();
+    const auto ids = graph::IdAssignment::random(n, rng);
+    BallGrower::Scratch scratch(n);
+    BallGrower grower(step.g, ids, 0, ViewSemantics::kInducedBall, scratch);
+    for (std::size_t r = 0; r < step.radius; ++r) grower.grow();
+
+    local::RingScratch fresh;
+    const auto expected = local::try_extract_ring_view(grower.view(), fresh);
+    const auto got = local::try_extract_ring_view(grower.view(), reused);
+    ASSERT_EQ(got.has_value(), step.accepted) << "n " << n << " radius " << step.radius;
+    ASSERT_EQ(expected.has_value(), step.accepted);
+    if (!step.accepted) continue;
+    EXPECT_EQ(got->cw.size(), step.cw_len);
+    EXPECT_EQ(got->ccw.size(), step.ccw_len);
+    EXPECT_EQ(got->closed, step.ccw_len == 0);
+    EXPECT_EQ(RingCopy(*got), RingCopy(*expected)) << "n " << n << " radius " << step.radius;
+  }
 }
 
 // ---- view engine ----------------------------------------------------------
