@@ -98,7 +98,7 @@ class ColeVishkinView final : public local::ViewAlgorithm {
     }
     const auto ring = local::try_extract_ring_view(view, ring_scratch_);
     AVGLOCAL_REQUIRE_MSG(ring.has_value(), "Cole-Vishkin requires an oriented cycle");
-    Buffer buffer;
+    Buffer buffer{};
     if (ring->closed) {
       // Small ring: replay the schedule on the whole cycle.
       const std::size_t n = ring->seen_count();

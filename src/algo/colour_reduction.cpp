@@ -63,8 +63,8 @@ std::uint64_t smallest_free(std::uint64_t left, std::uint64_t right) {
 void cv_colour_ring(std::span<std::uint64_t> ring, int t6) {
   const std::size_t n = ring.size();
   AVGLOCAL_EXPECTS(n >= 3);
-  // In place: ascending j reads ring[j+1] before overwriting it, so only
-  // the wrap-around successor of the last position needs saving.
+  // In place: ascending i reads ring[i+1] before it is overwritten, so
+  // only the wrap-around successor of the last position needs saving.
   for (int k = 0; k < t6; ++k) {
     const std::uint64_t first = ring[0];
     for (std::size_t i = 0; i + 1 < n; ++i) ring[i] = cv_reduce(ring[i], ring[i + 1]);
@@ -102,7 +102,8 @@ AVGLOCAL_HOT SegmentColours cv_colour_segment(std::span<std::uint64_t> window, i
     ++lo;
     --valid_end;
   }
-  return {lo, std::span<const std::uint64_t>(window).subspan(lo, valid_end + 1 - lo)};  // lo == 3
+  // lo == 3: the final colours are window[3 .. m-t6-4].
+  return {lo, std::span<const std::uint64_t>(window).subspan(lo, valid_end + 1 - lo)};
 }
 
 }  // namespace avglocal::algo

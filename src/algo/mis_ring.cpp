@@ -46,7 +46,7 @@ class MisRingView final : public local::ViewAlgorithm {
     }
     const auto ring = local::try_extract_ring_view(view, ring_scratch_);
     AVGLOCAL_REQUIRE_MSG(ring.has_value(), "ring MIS requires an oriented cycle");
-    Buffer buffer;
+    Buffer buffer{};
     if (ring->closed) {
       const std::size_t n = ring->seen_count();
       AVGLOCAL_REQUIRE_MSG(n <= buffer.size(), "closed ring wider than the schedule radius");

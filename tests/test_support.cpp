@@ -11,6 +11,7 @@
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/math.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -373,6 +374,16 @@ TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(doc.at("a")[0], std::runtime_error);
   // A negative number is not a u64.
   EXPECT_THROW(support::parse_json("-1").as_u64(), std::runtime_error);
+}
+
+TEST(Parse, U64AcceptsOnlyPlainDecimalThatFits) {
+  EXPECT_EQ(support::parse_u64("0"), 0u);
+  EXPECT_EQ(support::parse_u64("4096"), 4096u);
+  EXPECT_EQ(support::parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "1e3", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(support::parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(JsonReader, DeepNestingThrowsInsteadOfOverflowingTheStack) {
