@@ -37,6 +37,11 @@ const GoldenCase kCases[] = {
     {"view-greedy-gnp.json", "greedy", "gnp", 12},
     {"message-largest-id-cycle.json", "largest-id-msg", "cycle", 12},
     {"message-local3-cycle.json", "local3", "cycle", 12},
+    {"message-cv3-msg-cycle.json", "cv3-msg", "cycle", 12},
+    {"message-greedy-msg-cycle.json", "greedy-msg", "cycle", 12},
+    // n=300: every node's per-origin token table fills to n-1 entries,
+    // growing through several capacities within each trial.
+    {"message-largest-id-cycle-300.json", "largest-id-msg", "cycle", 300},
     // Schedule-driven ring algorithms, on both sides of the closure radius:
     // cv3 at n=12 (t6=2, T=5) evaluates an open window, at n=9 the closed
     // ring; mis at n=12 (T=7) closes, at n=64 it stays open.
