@@ -455,7 +455,7 @@ MessageSweepThroughput bench_message_sweep(std::size_t n, std::size_t rounds,
   out.batch_reuse_speedup = out.sweep_rounds_per_sec / out.per_trial_rounds_per_sec;
   {
     // The zero-allocation claim on the sweep path. Trial boundaries may
-    // allocate (per-run result buffers, non-resettable algorithms); the
+    // allocate (non-resettable algorithms are reconstructed there); the
     // claim is about the round loop, so deltas are inspected within each
     // trial's sample group, past the global warm-up.
     AllocSampler sampler(trials * (rounds + 1));

@@ -18,7 +18,7 @@ namespace {
 
 class ColeVishkinMessages final : public local::Algorithm {
  public:
-  void on_start(local::NodeContext& ctx) override {
+  AVGLOCAL_HOT void on_start(local::NodeContext& ctx) override {
     AVGLOCAL_REQUIRE_MSG(ctx.n().has_value(),
                          "Cole-Vishkin (known n) requires Knowledge::kKnowsN");
     AVGLOCAL_REQUIRE_MSG(ctx.degree() == 2, "Cole-Vishkin runs on oriented cycles");
@@ -29,7 +29,8 @@ class ColeVishkinMessages final : public local::Algorithm {
     broadcast_colour(ctx);
   }
 
-  void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
+  AVGLOCAL_HOT void on_round(local::NodeContext& ctx,
+                             std::span<const local::Message> inbox) override {
     std::uint64_t succ = 0, pred = 0;
     bool have_succ = false, have_pred = false;
     for (const local::Message& msg : inbox) {
@@ -75,11 +76,8 @@ class ColeVishkinMessages final : public local::Algorithm {
   }
 
  private:
-  void broadcast_colour(local::NodeContext& ctx) {
-    local::Encoder e;
-    e.u64(colour_);
-    ctx.broadcast(e.take());
-  }
+  /// The payload is the one colour word, sent straight from the member.
+  void broadcast_colour(local::NodeContext& ctx) { ctx.broadcast({&colour_, 1}); }
 
   std::uint64_t colour_ = 0;
   int t6_ = 0;

@@ -1,12 +1,14 @@
 #include "algo/greedy_colouring.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "local/wire.hpp"
+#include "support/annotations.hpp"
 #include "support/assert.hpp"
 
 namespace avglocal::algo {
@@ -26,13 +28,17 @@ std::int64_t smallest_free(std::span<std::int64_t> used) {
 
 class GreedyColouringMessages final : public local::Algorithm {
  public:
-  void on_start(local::NodeContext& ctx) override {
+  /// Sizes the per-port arrays to the degree; an instance serves one node,
+  /// so after the first trial the assigns reuse their capacity.
+  AVGLOCAL_HOT void on_start(local::NodeContext& ctx) override {
     nbr_id_.assign(ctx.degree(), 0);
     nbr_colour_.assign(ctx.degree(), std::nullopt);
+    higher_colours_.assign(ctx.degree(), 0);
     broadcast_state(ctx);
   }
 
-  void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
+  AVGLOCAL_HOT void on_round(local::NodeContext& ctx,
+                             std::span<const local::Message> inbox) override {
     for (const local::Message& msg : inbox) {
       local::Decoder d(msg.payload);
       nbr_id_[msg.from_port] = d.u64();
@@ -40,7 +46,7 @@ class GreedyColouringMessages final : public local::Algorithm {
       ids_known_ = true;
     }
     if (!ctx.has_output() && ids_known_) {
-      std::vector<std::int64_t> higher_colours;
+      std::size_t higher = 0;
       bool ready = true;
       for (std::size_t port = 0; port < ctx.degree(); ++port) {
         if (nbr_id_[port] <= ctx.id()) continue;
@@ -48,10 +54,10 @@ class GreedyColouringMessages final : public local::Algorithm {
           ready = false;
           break;
         }
-        higher_colours.push_back(*nbr_colour_[port]);
+        higher_colours_[higher++] = *nbr_colour_[port];
       }
       if (ready) {
-        colour_ = smallest_free(higher_colours);
+        colour_ = smallest_free({higher_colours_.data(), higher});
         ctx.output(*colour_);
       }
     }
@@ -66,14 +72,16 @@ class GreedyColouringMessages final : public local::Algorithm {
   }
 
  private:
+  /// Wire words: id, has-colour flag, colour (0 while uncoloured).
   void broadcast_state(local::NodeContext& ctx) {
-    local::Encoder e;
-    e.u64(ctx.id()).flag(colour_.has_value()).i64(colour_.value_or(0));
-    ctx.broadcast(e.take());
+    const std::array<std::uint64_t, 3> words{ctx.id(), colour_.has_value() ? 1u : 0u,
+                                             static_cast<std::uint64_t>(colour_.value_or(0))};
+    ctx.broadcast(words);
   }
 
   std::vector<std::uint64_t> nbr_id_;
   std::vector<std::optional<std::int64_t>> nbr_colour_;
+  std::vector<std::int64_t> higher_colours_;  // one round's exclusions, degree slots
   std::optional<std::int64_t> colour_;
   bool ids_known_ = false;
 };

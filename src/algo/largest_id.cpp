@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
+#include <bit>
 #include <optional>
 
 #include "graph/properties.hpp"
@@ -69,41 +69,104 @@ class LargestIdUniverseAwareView final : public local::ViewAlgorithm {
   std::size_t scanned_ = 0;
 };
 
+/// A node's token table: per origin identifier, the hop count at which its
+/// token arrived on each side. Open addressing with linear probing over a
+/// power-of-two slot array kept at most half full, indexed by Fibonacci
+/// hashing of the origin. Hop counts are >= 1, so 0 marks a side not seen
+/// yet and a slot with both sides 0 is free. clear() keeps the slots, so a
+/// reused instance stops growing once the table has held the most origins
+/// its node sees in one run.
+class OriginTable {
+ public:
+  struct Entry {
+    std::uint64_t origin = 0;
+    std::array<std::uint64_t, 2> hops{};  ///< per side; 0 = not seen
+  };
+
+  /// Sets `origin`'s hop count on `side`, inserting the origin if new.
+  const Entry& record(std::uint64_t origin, std::size_t side, std::uint64_t hops) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    Entry& entry = probe(origin);
+    if (is_free(entry)) {
+      entry.origin = origin;
+      ++size_;
+    }
+    entry.hops[side] = hops;
+    return entry;
+  }
+
+  /// Number of distinct origins recorded.
+  std::size_t size() const noexcept { return size_; }
+
+  void clear() noexcept {
+    std::fill(slots_.begin(), slots_.end(), Entry{});
+    size_ = 0;
+  }
+
+ private:
+  static bool is_free(const Entry& e) noexcept { return e.hops[0] == 0 && e.hops[1] == 0; }
+
+  /// The slot holding `origin`, or the free slot where it belongs.
+  Entry& probe(std::uint64_t origin) noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>((origin * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (!is_free(slots_[i]) && slots_[i].origin != origin) i = (i + 1) & mask;
+    return slots_[i];
+  }
+
+  void grow() {
+    std::vector<Entry> old = std::move(slots_);
+    slots_.assign(old.empty() ? 8 : 2 * old.size(), Entry{});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Entry& e : old) {
+      if (!is_free(e)) probe(e.origin) = e;
+    }
+  }
+
+  std::vector<Entry> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;  ///< 64 - log2(slot count): the hash keeps the top bits
+};
+
 /// Message-passing variant: floods (origin, hops) tokens. See header.
+///
+/// Not AVGLOCAL_HOT: the token table and the relay buffers grow amortised
+/// until they hold the most tokens their node sees in one run, so only the
+/// runtime gate (MessageRoundAlloc in tests/test_engine_alloc.cpp) pins the
+/// steady state at zero allocations.
 class LargestIdMessages final : public local::Algorithm {
  public:
   void on_start(local::NodeContext& ctx) override {
     AVGLOCAL_REQUIRE_MSG(ctx.degree() == 2, "message largest-ID runs on cycles");
-    local::Encoder e;
-    e.u64(1).u64(ctx.id()).u64(1);  // one token: (origin=self, hops=1)
-    ctx.broadcast(e.take());
+    const std::array<std::uint64_t, 3> token{1, ctx.id(), 1};  // (origin=self, hops=1)
+    ctx.broadcast(token);
   }
 
   void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
-    // forward[q] collects tokens to relay out of port q this round.
-    std::array<std::vector<std::pair<std::uint64_t, std::uint64_t>>, 2> forward;
+    // relay_[q] collects the tokens to relay out of port q this round, in
+    // wire layout: a count word, then (origin, hops) pairs.
+    for (std::vector<std::uint64_t>& words : relay_) words.assign(1, 0);
     for (const local::Message& msg : inbox) {
+      std::vector<std::uint64_t>& relay = relay_[1 - msg.from_port];
       local::Decoder d(msg.payload);
       const std::uint64_t count = d.u64();
       for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t origin = d.u64();
         const std::uint64_t hops = d.u64();
-        ingest(ctx, origin, hops, msg.from_port);
-        if (origin != ctx.id() && !already_seen_twice(origin)) {
-          forward[1 - msg.from_port].emplace_back(origin, hops + 1);
+        if (ingest(ctx, origin, hops, msg.from_port)) {
+          relay.push_back(origin);
+          relay.push_back(hops + 1);
+          ++relay[0];
         }
       }
     }
     for (std::size_t q = 0; q < 2; ++q) {
-      if (forward[q].empty()) continue;
-      local::Encoder e;
-      e.u64(forward[q].size());
-      for (const auto& [origin, hops] : forward[q]) e.u64(origin).u64(hops);
-      ctx.send(q, e.take());
+      if (relay_[q][0] != 0) ctx.send(q, relay_[q]);
     }
     decide(ctx);
   }
 
+  /// The token table and relay buffers keep their capacity.
   bool reset() noexcept override {
     best_ = 0;
     n_.reset();
@@ -112,22 +175,20 @@ class LargestIdMessages final : public local::Algorithm {
   }
 
  private:
-  void ingest(local::NodeContext& ctx, std::uint64_t origin, std::uint64_t hops,
+  /// Records a token; true when it should be relayed onwards, i.e. it is
+  /// not our own and has not now arrived from both sides.
+  bool ingest(local::NodeContext& ctx, std::uint64_t origin, std::uint64_t hops,
               std::size_t side) {
     best_ = std::max(best_, origin);
     if (origin == ctx.id()) {
       // Our own token went all the way around: hops == n.
       n_ = hops;
-      return;
+      return false;
     }
-    auto& sides = seen_[origin];
-    sides[side] = hops;
-    if (sides[0] && sides[1]) n_ = *sides[0] + *sides[1];
-  }
-
-  bool already_seen_twice(std::uint64_t origin) const {
-    const auto it = seen_.find(origin);
-    return it != seen_.end() && it->second[0].has_value() && it->second[1].has_value();
+    const OriginTable::Entry& entry = seen_.record(origin, side, hops);
+    if (entry.hops[0] == 0 || entry.hops[1] == 0) return true;
+    n_ = entry.hops[0] + entry.hops[1];
+    return false;
   }
 
   void decide(local::NodeContext& ctx) {
@@ -141,7 +202,8 @@ class LargestIdMessages final : public local::Algorithm {
 
   std::uint64_t best_ = 0;
   std::optional<std::size_t> n_;
-  std::map<std::uint64_t, std::array<std::optional<std::uint64_t>, 2>> seen_;
+  OriginTable seen_;
+  std::array<std::vector<std::uint64_t>, 2> relay_;
 };
 
 }  // namespace

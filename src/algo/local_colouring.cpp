@@ -5,6 +5,7 @@
 
 #include "algo/colour_reduction.hpp"
 #include "local/wire.hpp"
+#include "support/annotations.hpp"
 #include "support/assert.hpp"
 
 namespace avglocal::algo {
@@ -20,10 +21,11 @@ struct NodeState {
   bool sixfinal = false;
 };
 
-local::Payload encode(const NodeState& s) {
-  local::Encoder e;
-  e.u64(s.id).u64(s.colour).flag(s.frozen).flag(s.candidate).flag(s.sixfinal);
-  return e.take();
+/// Wire words of a NodeState: id, colour, then the three flags as 0/1.
+using StateWords = std::array<std::uint64_t, 5>;
+
+StateWords encode(const NodeState& s) {
+  return {s.id, s.colour, s.frozen ? 1u : 0u, s.candidate ? 1u : 0u, s.sixfinal ? 1u : 0u};
 }
 
 NodeState decode(std::span<const std::uint64_t> payload) {
@@ -48,7 +50,7 @@ std::uint64_t smallest_free_below(std::uint64_t limit, std::uint64_t a, std::uin
 
 class LocalThreeColouring final : public local::Algorithm {
  public:
-  void on_start(local::NodeContext& ctx) override {
+  AVGLOCAL_HOT void on_start(local::NodeContext& ctx) override {
     AVGLOCAL_REQUIRE_MSG(ctx.degree() == 2, "ring colouring requires degree 2");
     colour_ = ctx.id();
     frozen_ = colour_ < 6;
@@ -56,7 +58,8 @@ class LocalThreeColouring final : public local::Algorithm {
     ctx.broadcast(encode(current_state(ctx)));
   }
 
-  void on_round(local::NodeContext& ctx, std::span<const local::Message> inbox) override {
+  AVGLOCAL_HOT void on_round(local::NodeContext& ctx,
+                             std::span<const local::Message> inbox) override {
     std::array<std::optional<NodeState>, 2> received;
     for (const local::Message& msg : inbox) {
       received[msg.from_port] = decode(msg.payload);

@@ -97,10 +97,12 @@ class Engine {
     total_words_ = 0;
   }
 
-  RunResult run() {
+  /// Runs the bound assignment until every node has output. Each node's
+  /// output and output round stay in its context until the next bind(),
+  /// so callers read them there instead of through a per-run copy.
+  void run() {
     const std::size_t n = g_->vertex_count();
     std::size_t outputs_done = 0;
-    RunResult result;
 
     // Round 0: on_start sends land in *outgoing_.
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -145,18 +147,27 @@ class Engine {
       }
       record_round(round, outputs_done - outputs_before);
     }
+    rounds_ = round;
+  }
 
+  /// The last run() as a RunResult.
+  RunResult result() const {
+    const std::size_t n = g_->vertex_count();
+    RunResult result;
     result.outputs.resize(n);
     result.radii.resize(n);
     for (graph::Vertex v = 0; v < n; ++v) {
       result.outputs[v] = contexts_[v].output_value();
       result.radii[v] = contexts_[v].output_round();
     }
-    result.rounds = round;
+    result.rounds = rounds_;
     result.messages = total_messages_;
     result.words = total_words_;
     return result;
   }
+
+  /// v's context: its committed output and output round from the last run().
+  const NodeContext& node(graph::Vertex v) const noexcept { return contexts_[v]; }
 
  private:
   // Per-round message/word totals come straight from the delivering arena:
@@ -186,13 +197,15 @@ class Engine {
   std::vector<Message> inbox_;          // reused; first `count` entries live
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_words_ = 0;
+  std::size_t rounds_ = 0;  // of the last run()
 };
 
 RunResult run_messages(const graph::Graph& g, const graph::IdAssignment& ids,
                        const AlgorithmFactory& factory, const EngineOptions& options) {
   Engine engine(g, factory, options);
   engine.bind(ids);
-  return engine.run();
+  engine.run();
+  return engine.result();
 }
 
 MessageBatchRunner::MessageBatchRunner(const graph::Graph& g, AlgorithmFactory factory,
@@ -208,9 +221,10 @@ void MessageBatchRunner::run(std::span<const graph::IdAssignment> batch,
   const std::size_t n = engine_->graph().vertex_count();
   for (std::size_t trial = 0; trial < batch.size(); ++trial) {
     engine_->bind(batch[trial]);
-    const RunResult run = engine_->run();
+    engine_->run();
     for (graph::Vertex v = 0; v < n; ++v) {
-      sink(trial, v, run.outputs[v], run.radii[v]);
+      const NodeContext& node = engine_->node(v);
+      sink(trial, v, node.output_value(), node.output_round());
     }
   }
 }

@@ -99,7 +99,8 @@ class MessageBatchRunner {
   /// Runs every id-assignment of `batch` through the persistent engine;
   /// `trial` in the sink is the index within this batch. The steady-state
   /// round loop stays allocation-free, and with resettable algorithms the
-  /// whole per-trial loop allocates nothing after warm-up.
+  /// whole per-trial loop allocates nothing after warm-up: results reach
+  /// the sink straight from the node contexts, with no per-trial copy.
   void run(std::span<const graph::IdAssignment> batch, const MessageResultFn& sink);
 
  private:

@@ -46,13 +46,23 @@ class FloodRelay final : public Algorithm {
 };
 
 /// Trace that snapshots the global allocation counters after every round.
+/// Each sample carries its round number, so a batch of runs splits into
+/// trials at the round-0 samples.
 class AllocSampler final : public Trace {
  public:
+  struct Sample : support::AllocCounts {
+    std::size_t round = 0;
+  };
+
+  /// Reserves room for `expected_rounds` + 2 samples; recording past that
+  /// grows the buffer, which the counters then see.
   explicit AllocSampler(std::size_t expected_rounds) { samples_.reserve(expected_rounds + 2); }
 
-  void record(const RoundStats&) override { samples_.push_back(support::alloc_counts()); }
+  void record(const RoundStats& stats) override {
+    samples_.push_back({support::alloc_counts(), stats.round});
+  }
 
-  const std::vector<support::AllocCounts>& samples() const noexcept { return samples_; }
+  const std::vector<Sample>& samples() const noexcept { return samples_; }
 
   /// Worst per-round counter delta over rounds in [warmup, end).
   support::AllocCounts worst_after(std::size_t warmup) const {
@@ -66,7 +76,7 @@ class AllocSampler final : public Trace {
   }
 
  private:
-  std::vector<support::AllocCounts> samples_;
+  std::vector<Sample> samples_;
 };
 
 }  // namespace avglocal::local

@@ -84,6 +84,10 @@ inline AllocCounts alloc_counts() noexcept {
     ::avglocal::support::alloc_hook_detail::note(size);                                       \
     return std::malloc(size != 0 ? size : 1);                                                 \
   }                                                                                           \
+  /* The hook's new hands out malloc memory, so free is the matching     */                   \
+  /* release; GCC loses that pairing when it inlines both into a caller. */                   \
+  _Pragma("GCC diagnostic push")                                                              \
+  _Pragma("GCC diagnostic ignored \"-Wmismatched-new-delete\"")                               \
   void operator delete(void* ptr) noexcept { std::free(ptr); }                                \
   void operator delete[](void* ptr) noexcept { std::free(ptr); }                              \
   void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }                   \
@@ -96,5 +100,6 @@ inline AllocCounts alloc_counts() noexcept {
   }                                                                                           \
   void operator delete(void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }         \
   void operator delete[](void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }       \
+  _Pragma("GCC diagnostic pop")                                                               \
   static_assert(true, "require a trailing semicolon")
 // NOLINTEND

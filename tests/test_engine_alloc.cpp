@@ -179,6 +179,79 @@ TEST(ViewEvalAlloc, RegistryViewAlgorithmsAreAllocationFreeAfterWarmup) {
 #endif
 }
 
+// The message engine's per-trial duty cycle as a sweep drives it: one
+// MessageBatchRunner per point, rebound per trial. Every registry message
+// algorithm runs with its registered knowledge on a ring. One warm-up
+// trial lets the arenas, the result buffers and any amortised scratch
+// (largest-id-msg's token table grows through its whole first run) reach
+// their high-water marks; a warm runner then serves further trials without
+// touching the heap: per round, under bench_regression's message_sweep
+// warm-up rule, and per trial, bind and result hand-off included.
+TEST(MessageRoundAlloc, RegistryMessageAlgorithmsAreAllocationFreeAfterWarmup) {
+#ifdef NDEBUG
+  constexpr std::size_t kN = 64;
+  constexpr std::size_t kTrials = 3;
+  const auto& registry = algo::AlgorithmRegistry::global();
+  const auto names = registry.names(algo::AlgorithmKind::kMessage);
+  ASSERT_GE(names.size(), 4u);
+  const auto g = graph::make_cycle(kN);
+  std::vector<graph::IdAssignment> batch;
+  support::Xoshiro256 rng(kN);
+  for (std::size_t t = 0; t <= kTrials; ++t) batch.push_back(graph::IdAssignment::random(kN, rng));
+  std::uint64_t radius_sum = 0;
+  const local::MessageResultFn sink = [&radius_sum](std::size_t, graph::Vertex, std::int64_t,
+                                                    std::size_t radius) { radius_sum += radius; };
+
+  for (const std::string& name : names) {
+    const algo::AlgorithmInfo& info = registry.at(name);
+    AllocSampler sampler(kN * (kTrials + 1) * 4);
+    local::EngineOptions options;
+    options.knowledge = info.knowledge;
+    options.trace = &sampler;
+    local::MessageBatchRunner runner(g, info.messages(kN), options);
+    runner.run({batch.data(), 1}, sink);
+    const std::size_t warm = sampler.samples().size();
+
+    const auto before = support::alloc_counts();
+    runner.run({batch.data() + 1, kTrials}, sink);
+    const auto after = support::alloc_counts();
+    const auto& samples = sampler.samples();
+    ASSERT_LT(samples.size(), kN * (kTrials + 1) * 4) << name << ": sampler outgrew its reserve";
+
+    // Per round, under bench_regression's rule: a round-0 sample opens a
+    // trial; rounds 1-3 of the first trial and round 1 of later trials
+    // count as warm-up.
+    std::size_t trial = 0;
+    std::vector<std::size_t> trial_starts;
+    for (std::size_t i = warm; i < samples.size(); ++i) {
+      if (samples[i].round == 0) {
+        if (i > warm) ++trial;
+        trial_starts.push_back(i);
+        continue;
+      }
+      if (samples[i].round < (trial == 0 ? 4u : 2u)) continue;
+      EXPECT_EQ(samples[i].allocations - samples[i - 1].allocations, 0u)
+          << name << ": trial " << trial << " round " << samples[i].round << " allocated";
+      EXPECT_EQ(samples[i].bytes - samples[i - 1].bytes, 0u) << name << " trial " << trial;
+    }
+    ASSERT_EQ(trial_starts.size(), kTrials) << name;
+
+    // Per trial: from each trial's round 0 to the next trial's (or the end
+    // of the batch), so every bind, result hand-off and sink call counts.
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      const support::AllocCounts end = t + 1 < kTrials ? samples[trial_starts[t + 1]] : after;
+      EXPECT_EQ(end.allocations - samples[trial_starts[t]].allocations, 0u)
+          << name << ": trial " << t << " allocated";
+    }
+    EXPECT_EQ(samples[trial_starts[0]].allocations - before.allocations, 0u)
+        << name << ": binding the first measured trial allocated";
+  }
+  EXPECT_GT(radius_sum, 0u);
+#else
+  GTEST_SKIP() << "debug builds may allocate in assertion paths";
+#endif
+}
+
 TEST(MessageArena, PushHasPayloadRoundTrip) {
   local::MessageArena arena;
   arena.attach(10);
