@@ -40,7 +40,7 @@ local::ViewAlgorithmFactory make_largest_id_view();
 /// its average radius against the paper's algorithm.
 local::ViewAlgorithmFactory make_largest_id_universe_aware_view();
 
-/// Message-passing implementation for cycles (any connected graph, in fact):
+/// Message-passing implementation for cycles (on_start requires degree 2):
 /// floods (origin, hops) tokens; a node outputs No as soon as the running
 /// maximum exceeds its own identifier, and Yes once it can prove it has seen
 /// every vertex (it learns the cycle length from a token received on both
