@@ -78,6 +78,7 @@
 #include "graph/ids.hpp"
 #include "local/engine.hpp"
 #include "local/view_engine.hpp"
+#include "support/connection_host.hpp"
 #include "support/csv.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -625,16 +626,13 @@ void serve_usage() {
          "  saves the returned report (cmp-identical to the monolithic file).\n";
 }
 
-/// The daemon under the signal handler's hand. request_stop() is the only
-/// call the handler makes - an atomic store plus shutdown(2), both
-/// async-signal-safe. g_fabric is the fabric-serve coordinator's same
-/// seam; at most one of the two is non-null in any given process.
-core::Server* g_server = nullptr;
-core::RemoteBackend* g_fabric = nullptr;
+/// The serve daemon's or fabric coordinator's connection host, under the
+/// signal handler's hand. request_stop() is the only call the handler
+/// makes - an atomic store plus shutdown(2), both async-signal-safe.
+support::ConnectionHost* g_host = nullptr;
 
 extern "C" void handle_stop_signal(int) {
-  if (g_server != nullptr) g_server->request_stop();
-  if (g_fabric != nullptr) g_fabric->request_stop();
+  if (g_host != nullptr) g_host->request_stop();
 }
 
 /// No SA_RESTART: the blocked accept() must return (EINTR) so the accept
@@ -687,12 +685,12 @@ int run_serve_command_impl(int argc, char** argv) {
 
   core::Server server(options);
   server.start();
-  g_server = &server;
+  g_host = &server.host();
   install_stop_handlers();
 
   std::cout << "serving on " << options.socket_path << "\n" << std::flush;
   server.run();
-  g_server = nullptr;
+  g_host = nullptr;
   const core::ResultCacheStats stats = server.cache().stats();
   std::cout << "server stopped: " << stats.requests << " request(s), " << stats.full_hits
             << " full hit(s), " << stats.extensions << " extension(s), "
@@ -773,7 +771,7 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
 
   core::RemoteBackend backend(spec, fabric);
   backend.start();
-  g_fabric = &backend;
+  g_host = &backend.coordinator().host();
   install_stop_handlers();
 
   // The resolved endpoint (TCP port 0 becomes the real port) goes to
@@ -783,7 +781,7 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
   std::cout << "fabric serving on " << endpoint << "\n" << std::flush;
 
   const core::RemoteSweepOutcome outcome = backend.run();
-  g_fabric = nullptr;
+  g_host = nullptr;
   std::cout << "fabric: " << outcome.stats.workers_seen << " worker(s), "
             << outcome.stats.units_granted << " grant(s), " << outcome.stats.redispatches
             << " re-dispatch(es), " << outcome.stats.duplicates_discarded

@@ -18,8 +18,9 @@
 //     -> {"ok":true,"op":"drain","retry_ms":R}   nothing grantable right
 //        now (every remaining unit is in flight and none is overdue);
 //        retry after R ms
-//     -> {"ok":true,"op":"shutdown"}             all units accepted (or
-//        the coordinator is stopping); the worker exits
+//     -> {"ok":true,"op":"shutdown"}             all units accepted; the
+//        worker exits (a stopping coordinator hangs up instead: the worker
+//        sees EOF, its drained exit)
 //   {"op":"result","unit":I,"artefact":"<shard artefact JSON>"}
 //     -> {"ok":true,"op":"result","accepted":true|false}
 //
@@ -43,20 +44,22 @@
 // - the merged partials, and the report finalized from them, are byte-
 // identical to the monolithic sweep. (The arrival-order-dependence lint
 // check pins the "index by unit id, never by connection" half of this.)
+//
+// Worker connections, the busy reply and shutdown follow the connection
+// host's contract (support/connection_host.hpp), with
+// FabricOptions::max_workers slots.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "support/connection_host.hpp"
 #include "support/socket.hpp"
 
 namespace avglocal::core {
@@ -148,52 +151,49 @@ struct FabricStats {
   std::uint64_t duplicates_discarded = 0;  ///< later artefacts per unit id
 };
 
-/// The coordinator: owns the listener, one handler thread per worker
-/// connection, the WorkQueue and the accepted per-unit accumulators.
-/// run() returns once every unit is accepted (normal completion) or a
-/// stop was requested (SIGTERM drain - workers see EOF and exit cleanly).
+/// The coordinator: owns the connection host, the WorkQueue and the
+/// accepted per-unit accumulators. run() returns once every unit is
+/// accepted (normal completion) or a stop was requested (SIGTERM drain -
+/// workers see EOF and exit cleanly).
 class FabricCoordinator {
  public:
+  using Reply = support::ConnectionHost::Reply;
+
   FabricCoordinator(ResolvedScenario resolved, const FabricOptions& options);
   FabricCoordinator(const FabricCoordinator&) = delete;
   FabricCoordinator& operator=(const FabricCoordinator&) = delete;
-  ~FabricCoordinator();
 
   /// Binds the listener. Separate from run() so callers can install
   /// signal handlers - and read the resolved endpoint - before accepting.
-  void start();
+  void start() { host_.start(options_.endpoint); }
 
   /// The bound endpoint with TCP port 0 resolved to the real port.
-  const support::Endpoint& endpoint() const noexcept { return listener_.endpoint(); }
+  const support::Endpoint& endpoint() const noexcept { return host_.endpoint(); }
 
   /// Accept loop; returns with every handler joined once the sweep is
   /// complete or a stop was requested.
-  void run();
+  void run() { host_.run(); }
 
-  /// Async-signal-safe stop request (atomic store + listener interrupt):
-  /// the SIGTERM handler's one call. Workers' connections are half-closed
-  /// by run()'s teardown, which they treat as an orderly drain.
-  void request_stop() noexcept;
+  /// Async-signal-safe stop request: the SIGTERM handler's one call.
+  /// Workers' connections are half-closed, which they treat as an orderly
+  /// drain.
+  void request_stop() noexcept { host_.request_stop(); }
 
-  bool stopping() const noexcept { return stop_.load(std::memory_order_relaxed); }
+  bool stopping() const noexcept { return host_.stopping(); }
   bool complete() const;
   FabricStats stats() const;
   const std::vector<WorkUnit>& work_units() const { return work_units_; }
+  support::ConnectionHost& host() noexcept { return host_; }
 
   /// Accepted accumulators by unit id (a slot is empty only after an
   /// aborted run). Call after run() returned.
   std::vector<std::optional<PointAccumulator>> take_unit_results();
 
-  /// One handled request line. `disconnect` marks a shutdown reply: the
-  /// handler sends the line, then closes the connection.
-  struct Reply {
-    std::string line;
-    bool disconnect = false;
-  };
-
   /// Parses and executes one request line from `session` and builds the
-  /// reply line. Never throws: malformed input becomes {"ok":false,...}.
-  /// Public so protocol tests can drive the coordinator without sockets.
+  /// reply line; a shutdown reply closes the connection once sent, and a
+  /// work-request to a stopping coordinator closes it with no reply.
+  /// Never throws: malformed input becomes {"ok":false,...}. Public so
+  /// protocol tests can drive the coordinator without sockets.
   Reply handle_request(std::uint64_t session, const std::string& line);
 
   /// Releases every unit `session` still holds (its connection dropped).
@@ -201,15 +201,7 @@ class FabricCoordinator {
   void release_session(std::uint64_t session);
 
  private:
-  struct WorkerSlot {
-    std::thread thread;
-    std::atomic<int> fd{-1};
-    std::atomic<bool> done{false};
-  };
-
   std::uint64_t now_ms() const;
-  void serve_worker(support::Stream stream, WorkerSlot* slot, std::uint64_t session);
-  void reap_finished_slots_locked();
 
   FabricOptions options_;
   ResolvedScenario resolved_;
@@ -217,18 +209,12 @@ class FabricCoordinator {
   std::vector<WorkUnit> work_units_;   ///< the immutable plan, by unit id
   std::chrono::steady_clock::time_point epoch_;  ///< origin of now_ms()
 
-  support::Listener listener_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> complete_{false};
-
   mutable std::mutex mutex_;  ///< guards queue_, unit_results_, stats_
   WorkQueue queue_;
   std::vector<std::optional<PointAccumulator>> unit_results_;
   FabricStats stats_;
 
-  std::mutex slots_mutex_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::uint64_t next_session_ = 0;
+  support::ConnectionHost host_;  ///< last: its handlers use the members above
 };
 
 struct FabricWorkerOptions {

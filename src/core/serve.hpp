@@ -18,26 +18,16 @@
 // them with cmp. Any malformed line or failed request yields
 // {"ok":false,"error":"..."} and the connection stays open.
 //
-// Concurrency: one handler thread per connection (at most
-// ServeOptions::max_clients at once; a connection accepted while every
-// slot is taken gets one {"ok":false,"error":"busy"} line and is closed,
-// so clients see an explicit reply to retry on, never a silent drop), all
-// funnelling into the shared ResultCache, which serialises sweeps
-// internally. Shutdown - via the shutdown op or request_stop(),
-// which is async-signal-safe for SIGTERM handlers - interrupts the accept
-// loop, half-closes idle connections (in-flight responses still flush)
-// and joins every handler before run() returns.
+// Connections, the busy reply and shutdown follow the connection host's
+// contract (support/connection_host.hpp), with ServeOptions::max_clients
+// slots; every handler funnels into the shared ResultCache, which
+// serialises sweeps internally.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/result_cache.hpp"
-#include "support/socket.hpp"
+#include "support/connection_host.hpp"
 
 namespace avglocal::core {
 
@@ -54,10 +44,11 @@ struct ServeOptions {
 
 class Server {
  public:
+  using Reply = support::ConnectionHost::Reply;
+
   explicit Server(const ServeOptions& options);
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
-  ~Server();
 
   /// Binds and listens on options.socket_path. Throws std::runtime_error
   /// when the path is unusable or already served. Separate from run() so
@@ -67,48 +58,27 @@ class Server {
 
   /// Accept loop; returns only after a stop request, with every handler
   /// joined and the socket file unlinked.
-  void run();
+  void run() { host_.run(); }
 
-  /// Requests shutdown. Async-signal-safe (an atomic store plus a socket
-  /// shutdown()) - this is the SIGTERM handler's one call.
-  void request_stop() noexcept;
+  /// Requests shutdown. Async-signal-safe - this is the SIGTERM handler's
+  /// one call.
+  void request_stop() noexcept { host_.request_stop(); }
 
-  bool stopping() const noexcept { return stop_.load(std::memory_order_relaxed); }
+  bool stopping() const noexcept { return host_.stopping(); }
 
   ResultCache& cache() noexcept { return cache_; }
+  support::ConnectionHost& host() noexcept { return host_; }
 
-  /// One handled request line. `shutdown` marks the response to a shutdown
-  /// op: the handler sends the line, then stops the server.
-  struct Reply {
-    std::string line;
-    bool shutdown = false;
-  };
-
-  /// Parses and executes one request line and builds the response line.
-  /// Never throws: malformed input becomes an {"ok":false,...} reply.
-  /// Public so protocol tests can drive it without a socket.
+  /// Parses and executes one request line and builds the response line; a
+  /// shutdown op's reply stops the server once sent. Never throws:
+  /// malformed input becomes an {"ok":false,...} reply. Public so protocol
+  /// tests can drive it without a socket.
   Reply handle_request(const std::string& line);
 
  private:
-  /// One connection's lifetime. `fd` mirrors the handler's stream fd while
-  /// live so shutdown can half-close blocked readers; `done` flags the
-  /// slot for reaping by the accept loop.
-  struct ClientSlot {
-    std::thread thread;
-    std::atomic<int> fd{-1};
-    std::atomic<bool> done{false};
-  };
-
-  void serve_connection(support::Stream stream, ClientSlot* slot);
-  void reap_finished_slots_locked();
-
   ServeOptions options_;
   ResultCache cache_;
-  support::Listener listener_;
-  std::atomic<bool> stop_{false};
-
-  std::mutex slots_mutex_;
-  std::vector<std::unique_ptr<ClientSlot>> slots_;
+  support::ConnectionHost host_;  ///< last: its handlers use the members above
 };
 
 }  // namespace avglocal::core

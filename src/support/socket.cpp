@@ -258,13 +258,17 @@ Stream Stream::connect_with_retry(const Endpoint& endpoint, long timeout_ms) {
 }
 
 bool Stream::read_line(std::string& line) {
+  // Bytes of buffer_ already known to hold no '\n': each chunk scans only
+  // what it appended, so a long line costs linear time, not quadratic.
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       line.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
       return true;
     }
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
     if (got > 0) {
@@ -297,10 +301,6 @@ bool Stream::write_line(std::string_view line) {
   framed.append(line);
   framed.push_back('\n');
   return write_all(framed);
-}
-
-void Stream::shutdown_read() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 void Stream::close() noexcept {

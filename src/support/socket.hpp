@@ -94,10 +94,6 @@ class Stream {
   /// Frames and sends one message line (appends the '\n' terminator).
   bool write_line(std::string_view line);
 
-  /// Half-closes the read side (releases a peer blocked in read_line)
-  /// without discarding writes still in flight.
-  void shutdown_read() noexcept;
-
   void close() noexcept;
 
  private:

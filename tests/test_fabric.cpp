@@ -26,6 +26,7 @@
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/socket.hpp"
+#include "busy_reply_check.hpp"
 
 namespace {
 
@@ -206,7 +207,7 @@ TEST(FabricCoordinator, HandleRequestSpeaksTheProtocol) {
   const support::JsonValue grant_reply = support::parse_json(grant.line);
   EXPECT_EQ(grant_reply.at("op").as_string(), "work-grant");
   EXPECT_EQ(grant_reply.at("unit").at("id").as_u64(), 0u);
-  EXPECT_FALSE(grant.disconnect);
+  EXPECT_NE(grant.after, core::FabricCoordinator::Reply::After::kClose);
 }
 
 TEST(FabricCoordinator, DiscardsTheStragglersDuplicateExactlyOnce) {
@@ -242,7 +243,7 @@ TEST(FabricCoordinator, DiscardsTheStragglersDuplicateExactlyOnce) {
   // With the sweep complete, the next work-request is a shutdown.
   const auto shutdown = coordinator.handle_request(2, work_request_line());
   EXPECT_EQ(support::parse_json(shutdown.line).at("op").as_string(), "shutdown");
-  EXPECT_TRUE(shutdown.disconnect);
+  EXPECT_EQ(shutdown.after, core::FabricCoordinator::Reply::After::kClose);
 }
 
 TEST(FabricCoordinator, RejectsArtefactsFromTheWrongWorkload) {
@@ -454,6 +455,18 @@ TEST(Fabric, RequestStopDrainsWithoutCompleting) {
   // the blocked accept loop down.
   backend.request_stop();
   runner.join();
+  ::rmdir(dir_template);
+}
+
+TEST(FabricCoordinator, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
+  char dir_template[30] = "/tmp/avglocal-fabric-XXXXXX";
+  core::FabricOptions options;
+  options.endpoint.path = scratch_socket(dir_template);
+  options.max_workers = 1;
+  core::FabricCoordinator coordinator(core::resolve_scenario(base_spec(8)), options);
+  coordinator.start();
+  expect_full_slot_table_replies_busy(coordinator, coordinator.endpoint(),
+                                      "{\"op\":\"hello\",\"worker\":\"w\"}");
   ::rmdir(dir_template);
 }
 

@@ -26,6 +26,7 @@
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 #include "support/socket.hpp"
+#include "busy_reply_check.hpp"
 
 AVGLOCAL_DEFINE_ALLOC_HOOK();
 
@@ -245,11 +246,11 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
 
   const auto ping = server.handle_request("{\"op\":\"ping\"}");
   EXPECT_EQ(ping.line, "{\"ok\":true,\"op\":\"ping\"}");
-  EXPECT_FALSE(ping.shutdown);
+  EXPECT_NE(ping.after, core::Server::Reply::After::kStop);
 
   const auto malformed = server.handle_request("this is not json");
   EXPECT_NE(malformed.line.find("\"ok\":false"), std::string::npos);
-  EXPECT_FALSE(malformed.shutdown);
+  EXPECT_NE(malformed.after, core::Server::Reply::After::kStop);
 
   const auto unknown = server.handle_request("{\"op\":\"frobnicate\"}");
   EXPECT_NE(unknown.line.find("\"ok\":false"), std::string::npos);
@@ -267,7 +268,7 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
   EXPECT_EQ(response.at("report").as_string(), monolithic_report(spec));
 
   const auto shutdown = server.handle_request("{\"op\":\"shutdown\"}");
-  EXPECT_TRUE(shutdown.shutdown);
+  EXPECT_EQ(shutdown.after, core::Server::Reply::After::kStop);
   EXPECT_NE(shutdown.line.find("\"ok\":true"), std::string::npos);
 }
 
@@ -350,7 +351,7 @@ TEST(Server, DeeplyNestedRequestIsRefusedAndTheConnectionSurvives) {
     core::Server server(options);
     const auto reply = server.handle_request(deep);
     EXPECT_NE(reply.line.find("\"ok\":false"), std::string::npos);
-    EXPECT_FALSE(reply.shutdown);
+    EXPECT_NE(reply.after, core::Server::Reply::After::kStop);
   }
 
   char dir_template[] = "/tmp/avglocal-serve-XXXXXX";
@@ -406,41 +407,8 @@ TEST(Server, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
   options.max_clients = 1;
   core::Server server(options);
   server.start();
-  std::thread accept_thread([&server] { server.run(); });
-
-  // The first client pins the only slot; the ping round-trip guarantees
-  // its handler is live before anyone else knocks.
-  support::Stream holder = support::Stream::connect(socket_path);
-  std::string line;
-  ASSERT_TRUE(holder.write_line("{\"op\":\"ping\"}"));
-  ASSERT_TRUE(holder.read_line(line));
-
-  // The second connection must get an explicit busy error, then EOF - a
-  // reply to back off on, not a silent drop.
-  {
-    support::Stream rejected = support::Stream::connect(socket_path);
-    ASSERT_TRUE(rejected.read_line(line));
-    const support::JsonValue reply = support::parse_json(line);
-    EXPECT_FALSE(reply.at("ok").as_bool());
-    EXPECT_EQ(reply.at("error").as_string(), "busy");
-    EXPECT_FALSE(rejected.read_line(line));  // closed right after the reply
-  }
-
-  // Once the holder leaves its slot is reaped on the next accept, so a
-  // retrying client eventually gets a real handler again. Busy lines in
-  // between are expected - that is the whole point of the reply.
-  holder.close();
-  for (;;) {
-    support::Stream retry = support::Stream::connect(socket_path);
-    ASSERT_TRUE(retry.write_line("{\"op\":\"ping\"}"));
-    ASSERT_TRUE(retry.read_line(line));
-    const support::JsonValue reply = support::parse_json(line);
-    if (reply.at("ok").as_bool()) break;  // a freed slot served the ping
-    EXPECT_EQ(reply.at("error").as_string(), "busy");
-  }
-
-  server.request_stop();
-  accept_thread.join();
+  expect_full_slot_table_replies_busy(server, support::parse_endpoint(socket_path),
+                                      "{\"op\":\"ping\"}");
   ::rmdir(dir_template);
 }
 
