@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiments.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
 
@@ -124,6 +125,28 @@ TEST(GoldenArtefacts, CommittedArtefactsStillParseAndMerge) {
     EXPECT_EQ(points[0].trials, 4u) << c.file;
     EXPECT_GT(points[0].radius.samples, 0u) << c.file;
   }
+}
+
+/// The paper experiments whose random-permutation columns come from sweeps
+/// (E2, E5, E6, E11), rendered at a tiny scale: their markdown is a pure
+/// function of the library, so the sweep path behind them cannot change a
+/// reported digit without showing up here.
+TEST(GoldenArtefacts, ExperimentRendersAreByteIdentical) {
+  const core::ExperimentScale scale{0.05};
+  const std::string fresh = core::render(core::experiment_largest_id_gap(scale)) +
+                            core::render(core::experiment_adversaries(scale)) +
+                            core::render(core::experiment_exact_small_n(scale)) +
+                            core::render(core::experiment_expected_complexity(scale));
+  const std::string path = std::string(AVGLOCAL_GOLDEN_DIR) + "/experiments-tiny.md";
+  if (std::getenv("AVGLOCAL_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << fresh;
+    return;
+  }
+  const std::string committed = read_file(path);
+  ASSERT_FALSE(committed.empty()) << path << " missing; regenerate with AVGLOCAL_REGEN_GOLDEN=1";
+  EXPECT_EQ(fresh, committed) << "experiment renders drifted";
 }
 
 /// A frozen byte string of a version-2 artefact (the pre-edge-measure
