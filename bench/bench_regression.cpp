@@ -10,7 +10,7 @@
 //    after warm-up, via the allocation-counting hook (expected: zero);
 //  * message-sweep throughput on the batch path (one engine rebound per
 //    assignment, vs a fresh engine per trial) with the same per-round
-//    zero-allocation gate, plus run_message_sweep trials/sec on the
+//    zero-allocation gate, plus serial SweepDriver trials/sec on the
 //    largest-id-msg scenario workload;
 //  * parallel message sweeps through the SweepDriver (one engine per pool
 //    worker lane over disjoint trial ranges) vs the serial path, with a
@@ -48,7 +48,6 @@
 #include "algo/largest_id.hpp"
 #include "algo/registry.hpp"
 #include "core/batched_sweep.hpp"
-#include "core/message_sweep.hpp"
 #include "core/remote_backend.hpp"
 #include "core/result_cache.hpp"
 #include "core/scenario.hpp"
@@ -313,8 +312,8 @@ SweepThroughput bench_view_sweep(std::size_t n, std::size_t trials, std::uint64_
 }
 
 // ------------------------------------------------------------------------
-// Scenario-layer dispatch overhead: the same sweep once through
-// run_batched_sweep directly and once through the scenario registries
+// Scenario-layer dispatch overhead: the same sweep once through a
+// SweepDriver over a hand-built ViewBackend and once through the registries
 // (resolve + run_scenario). The registry is consulted per point, never per
 // trial or per vertex, so the two must stay within noise of each other;
 // full runs gate the overhead at 2% so the declarative layer can never
@@ -341,8 +340,10 @@ DispatchOverhead bench_scenario_dispatch(std::size_t n, std::size_t trials, std:
       options.seed = seed;
       options.threads = 1;
       const auto start = Clock::now();
-      const auto points =
-          core::run_batched_sweep({n}, graphs, algo::make_largest_id_view(), options);
+      const core::ViewBackend backend(
+          [](std::size_t) { return algo::make_largest_id_view(); });
+      const core::SweepPool pool(options);
+      const auto points = core::SweepDriver(backend, options, pool.get()).run({n}, graphs);
       out.direct_trials_per_sec = std::max(out.direct_trials_per_sec,
                                            static_cast<double>(trials) / seconds_since(start));
       if (points.empty()) std::abort();
@@ -406,16 +407,16 @@ EngineThroughput bench_message_engine(std::size_t n, std::size_t rounds) {
 }
 
 // ------------------------------------------------------------------------
-// Message-sweep benchmark: the run_message_sweep path (one engine per
-// point, rebound per assignment) vs a fresh engine per trial, plus the
-// per-round allocation gate on the batch path.
+// Message-sweep benchmark: the batch path (one engine per point, rebound
+// per assignment) vs a fresh engine per trial, plus the per-round
+// allocation gate on the batch path.
 // ------------------------------------------------------------------------
 
 struct MessageSweepThroughput {
   double sweep_rounds_per_sec = 0;      ///< batch path (run_messages_batch)
   double per_trial_rounds_per_sec = 0;  ///< fresh engine per run_messages call
   double batch_reuse_speedup = 0;
-  double sweep_trials_per_sec = 0;      ///< run_message_sweep, largest-id-msg
+  double sweep_trials_per_sec = 0;      ///< SweepDriver, largest-id-msg
   std::uint64_t allocs_per_round_after_warmup = 0;
   std::uint64_t bytes_per_round_after_warmup = 0;
 };
@@ -485,15 +486,16 @@ MessageSweepThroughput bench_message_sweep(std::size_t n, std::size_t rounds,
     options.trials = std::max<std::size_t>(2, trials / 2);
     options.seed = 7;
     // Pinned serial: this metric tracked the serial sweep stack before
-    // run_message_sweep learned to pool, and keeping it single-threaded
+    // message sweeps learned to pool, and keeping it single-threaded
     // preserves cross-run comparability; the parallel leg below measures
     // the pooled path explicitly.
     options.threads = 1;
     const auto start = Clock::now();
-    const auto points = core::run_message_sweep(
-        {sweep_n}, [](std::size_t m) { return graph::make_cycle(m); },
-        [](std::size_t) { return algo::make_largest_id_messages(); },
-        core::MessageEngineOptions{}, options);
+    const core::MessageBackend backend(
+        [](std::size_t) { return algo::make_largest_id_messages(); });
+    const core::SweepPool pool(options);
+    const auto points = core::SweepDriver(backend, options, pool.get())
+                            .run({sweep_n}, [](std::size_t m) { return graph::make_cycle(m); });
     out.sweep_trials_per_sec =
         static_cast<double>(options.trials) / seconds_since(start);
     if (points.empty() || points[0].radius.samples == 0) std::abort();

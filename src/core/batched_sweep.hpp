@@ -1,12 +1,15 @@
 // Batched random sweeps: many identifier assignments per graph in one pass.
 //
-// run_random_sweep (core/runner.hpp) pays one full view-engine run per
-// trial: every trial regrows every vertex's ball from scratch. The batched
-// engine inverts the loops - vertices outside, assignments inside - so each
-// vertex's ball geometry (BFS order, port structure: identifier-independent)
-// is grown once and replayed per assignment (local::BallReplayer), and all
-// per-trial state (id buffers, growers, scratch, the algorithm instance
-// where ViewAlgorithm::reset allows) is reused across the batch.
+// This header holds the engine-independent pieces of a sweep: its options,
+// the (seed, point, trial) id streams, the exact-integer accumulators and
+// their finalization. The engines plug in through core::SweepBackend
+// (core/sweep_backend.hpp) and core::SweepDriver (core/sweep_driver.hpp)
+// runs them; core::run_scenario (core/scenario.hpp) is the declarative
+// front. The view backend inverts the per-trial loops - vertices outside,
+// assignments inside - so each vertex's ball geometry (BFS order, port
+// structure: identifier-independent) is grown once and replayed per
+// assignment (local::BallReplayer), and all per-trial state is reused
+// across the batch.
 //
 // Everything downstream of the engine is accumulated as exact integers
 // (PointAccumulator), so partial results - per pool worker, or per shard of
@@ -17,10 +20,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/measure.hpp"
-#include "core/runner.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "local/metrics.hpp"
@@ -32,14 +36,13 @@ namespace avglocal::core {
 
 struct BatchedSweepOptions {
   std::size_t trials = 32;
-  /// Master seed; trial streams derive from (seed, point, trial) exactly as
-  /// in run_random_sweep, so both sweeps see identical id permutations.
+  /// Master seed; trial streams derive from (seed, point, trial)
+  /// (fill_sweep_batch), so every engine sees identical id permutations.
   std::uint64_t seed = 42;
   local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
   /// Worker threads; 0 = hardware concurrency, explicit values honoured
-  /// exactly. The batched engine parallelises over vertices, so - unlike
-  /// run_random_sweep - more workers than trials stay busy. Ignored when
-  /// `pool` is set.
+  /// exactly (SweepPool). The view engine parallelises over vertices, so
+  /// more workers than trials stay busy. Ignored when `pool` is set.
   std::size_t threads = 0;
   /// Optional externally owned worker pool, reused across sweeps.
   support::ThreadPool* pool = nullptr;
@@ -95,15 +98,15 @@ struct PointAccumulator {
   friend bool operator==(const PointAccumulator&, const PointAccumulator&) = default;
 };
 
-/// Aggregate of one sweep point: the SweepPoint measures (bit-identical to
-/// run_random_sweep under the same options) plus the averaged measures of
-/// arXiv:1704.05739 - the full r(v) sample distribution and the per-vertex
-/// (node-averaged) means.
+/// Aggregate of one sweep point: the ID-averaged measures (bit-identical to
+/// per-trial run_assignment runs over the same id streams, folded in trial
+/// order) plus the averaged measures of arXiv:1704.05739 - the full r(v)
+/// sample distribution and the per-vertex (node-averaged) means.
 struct BatchedSweepPoint {
   std::size_t n = 0;
   std::size_t trials = 0;
 
-  // ID-averaged aggregates, exactly as in SweepPoint.
+  // ID-averaged aggregates over the per-trial average and max radius.
   double avg_mean = 0.0;
   double avg_sd = 0.0;
   double avg_worst = 0.0;
@@ -133,17 +136,17 @@ struct BatchedSweepPoint {
 };
 
 /// An accumulator with every field sized (and zeroed) for trials
-/// [trial_begin, trial_end) of point (point_index, g). Shared by both
-/// engines' accumulate functions so the two can never disagree on shape.
+/// [trial_begin, trial_end) of point (point_index, g). SweepDriver shapes
+/// every backend's partials through it.
 PointAccumulator make_point_accumulator(const graph::Graph& g, std::size_t point_index,
                                         std::size_t trial_begin, std::size_t trial_end);
 
 /// Regenerates the sweep's id assignments for global trials
 /// [global_begin, global_begin + count) of the point whose stream root is
 /// `point_seed` (= derive_seed(options.seed, point_index)) into `batch`
-/// (cleared first). THE definition of a sweep's id streams: both engines'
-/// accumulate functions call this, which is what makes a message sweep and
-/// a view sweep of one scenario run identical permutations trial by trial.
+/// (cleared first). THE definition of a sweep's id streams: SweepDriver
+/// calls it for every backend, which is what makes a message sweep and a
+/// view sweep of one scenario run identical permutations trial by trial.
 void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
                       std::uint64_t point_seed, std::size_t global_begin, std::size_t count);
 
@@ -151,7 +154,7 @@ void fill_sweep_batch(std::vector<graph::IdAssignment>& batch, std::size_t n,
 /// row t = global trial batch_begin + t) into the accumulator's per-trial
 /// edge sums and the flat per-time sample counts (grown on demand;
 /// local::RadiusHistogram(std::move(counts)) converts exactly once per
-/// point). The third piece both engines' accumulate functions share.
+/// point). The scalar reference of the overload SweepDriver runs.
 void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Vertex>> edge_list,
                               std::span<const std::uint32_t> radius_matrix,
                               std::size_t batch_begin, std::size_t batch_size,
@@ -181,16 +184,6 @@ void accumulate_edge_partials(std::span<const std::pair<graph::Vertex, graph::Ve
                               PointAccumulator& acc, std::vector<std::uint64_t>& edge_counts,
                               EdgeAccumScratch& scratch);
 
-/// Runs trials [trial_begin, trial_end) of point `point_index` on `g` and
-/// returns exact partials. Since the SweepBackend redesign this is a thin
-/// shim over core::SweepDriver + core::ViewBackend (core/sweep_driver.hpp);
-/// callers that revisit a point should hold a driver and a prepared Point
-/// instead. `pool` may be null (serial).
-PointAccumulator accumulate_point(const graph::Graph& g, std::size_t point_index,
-                                  const local::ViewAlgorithmFactory& algorithm,
-                                  const BatchedSweepOptions& options, std::size_t trial_begin,
-                                  std::size_t trial_end, support::ThreadPool* pool);
-
 /// Derives the reported point from complete partials; the accumulator must
 /// cover the full trial range [0, options.trials).
 BatchedSweepPoint finalize_point(const PointAccumulator& acc, const BatchedSweepOptions& options);
@@ -200,20 +193,5 @@ BatchedSweepPoint finalize_point(const PointAccumulator& acc, const BatchedSweep
 /// target radius on n, so a multi-point sweep needs one factory per point,
 /// not one for the whole sweep.
 using AlgorithmProvider = std::function<local::ViewAlgorithmFactory(std::size_t)>;
-
-/// Batched counterpart of run_random_sweep: same seeds, same per-trial
-/// radii, bit-identical avg/max aggregates - plus distribution and
-/// node-averaged measures - at a fraction of the per-trial cost.
-std::vector<BatchedSweepPoint> run_batched_sweep(const std::vector<std::size_t>& ns,
-                                                 const GraphFactory& graphs,
-                                                 const AlgorithmProvider& algorithms,
-                                                 const BatchedSweepOptions& options = {});
-
-/// Convenience overload for size-independent algorithms: one factory serves
-/// every point.
-std::vector<BatchedSweepPoint> run_batched_sweep(const std::vector<std::size_t>& ns,
-                                                 const GraphFactory& graphs,
-                                                 const local::ViewAlgorithmFactory& algorithm,
-                                                 const BatchedSweepOptions& options = {});
 
 }  // namespace avglocal::core

@@ -43,6 +43,21 @@ namespace {
 
 std::string fmt_double(double v, int precision = 3) { return Table::cell(v, precision); }
 
+/// `trials` uniformly random identifier permutations of a registry
+/// algorithm per cycle size, through the scenario layer (fixed schedule:
+/// point i of `ns` draws the (seed, i, trial) id streams).
+std::vector<ScenarioPoint> random_cycle_sweep(const std::string& algorithm,
+                                              std::vector<std::size_t> ns, std::size_t trials,
+                                              std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = algorithm;
+  spec.ns = std::move(ns);
+  spec.seed = seed;
+  spec.schedule.max_trials = trials;
+  return run_scenario(spec).points;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- E1 ------
@@ -97,12 +112,8 @@ ExperimentResult experiment_largest_id_gap(const ExperimentScale& scale) {
   std::vector<std::size_t> ns;
   for (std::size_t n = 16; n <= n_max; n *= 2) ns.push_back(n);
 
-  SweepOptions sweep_options;
-  sweep_options.trials = std::max<std::size_t>(8, scale.at_least(25, 8));
-  sweep_options.seed = 2015;
-  const auto sweep =
-      run_random_sweep(ns, [](std::size_t n) { return graph::make_cycle(n); }, factory,
-                       sweep_options);
+  const auto sweep = random_cycle_sweep(
+      "largest-id", ns, std::max<std::size_t>(8, scale.at_least(25, 8)), 2015);
 
   for (std::size_t i = 0; i < ns.size(); ++i) {
     const std::size_t n = ns[i];
@@ -113,7 +124,7 @@ ExperimentResult experiment_largest_id_gap(const ExperimentScale& scale) {
     const Measurement worst =
         run_assignment(cycle, analysis::worst_case_cycle_ids(rec, n), factory);
     table.add_row({Table::cell(n), fmt_double(predicted), fmt_double(worst.avg_radius),
-                   fmt_double(sweep[i].avg_mean), fmt_double(sweep[i].avg_sd),
+                   fmt_double(sweep[i].point.avg_mean), fmt_double(sweep[i].point.avg_sd),
                    Table::cell(worst.max_radius),
                    fmt_double(std::log2(static_cast<double>(n)), 2),
                    fmt_double(measure_gap(worst), 1)});
@@ -280,11 +291,8 @@ ExperimentResult experiment_adversaries(const ExperimentScale& scale) {
   for (std::size_t n = 64; n <= n_max; n *= 2) {
     const graph::Graph cycle = graph::make_cycle(n);
 
-    SweepOptions sweep_options;
-    sweep_options.trials = std::max<std::size_t>(4, scale.at_least(10, 4));
-    sweep_options.seed = 99;
-    const auto sweep = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); }, factory, sweep_options);
+    const auto sweep =
+        random_cycle_sweep("largest-id", {n}, std::max<std::size_t>(4, scale.at_least(10, 4)), 99);
 
     analysis::SliceAdversaryOptions slice_options;
     slice_options.seed = 4;
@@ -300,7 +308,7 @@ ExperimentResult experiment_adversaries(const ExperimentScale& scale) {
 
     const double exact = static_cast<double>(analysis::predicted_worst_cycle_sum(rec, n)) /
                          static_cast<double>(n);
-    table.add_row({Table::cell(n), fmt_double(sweep[0].avg_mean),
+    table.add_row({Table::cell(n), fmt_double(sweep[0].point.avg_mean),
                    fmt_double(slice.avg_radius), fmt_double(hill.avg_radius),
                    fmt_double(exact), fmt_double(slice.avg_radius / exact, 2),
                    fmt_double(hill.avg_radius / exact, 2)});
@@ -350,22 +358,16 @@ ExperimentResult experiment_exact_small_n(const ExperimentScale& scale) {
   const analysis::Recurrence rec_big(un_max);
   for (std::size_t n = 64; n <= un_max; n *= 4) {
     const graph::Graph cycle = graph::make_cycle(n);
-    SweepOptions sweep_options;
-    sweep_options.trials = std::max<std::size_t>(4, scale.at_least(16, 4));
-    sweep_options.seed = 31;
-    const auto paper = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); },
-        algo::make_largest_id_view(), sweep_options);
-    const auto aware = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); },
-        algo::make_largest_id_universe_aware_view(), sweep_options);
+    const std::size_t trials = std::max<std::size_t>(4, scale.at_least(16, 4));
+    const auto paper = random_cycle_sweep("largest-id", {n}, trials, 31);
+    const auto aware = random_cycle_sweep("largest-id-ua", {n}, trials, 31);
     const graph::IdAssignment worst_ids = analysis::worst_case_cycle_ids(rec_big, n);
     const Measurement worst_paper =
         run_assignment(cycle, worst_ids, algo::make_largest_id_view());
     const Measurement worst_aware =
         run_assignment(cycle, worst_ids, algo::make_largest_id_universe_aware_view());
-    universe.add_row({Table::cell(n), fmt_double(paper[0].avg_mean),
-                      fmt_double(aware[0].avg_mean), fmt_double(worst_paper.avg_radius),
+    universe.add_row({Table::cell(n), fmt_double(paper[0].point.avg_mean),
+                      fmt_double(aware[0].point.avg_mean), fmt_double(worst_paper.avg_radius),
                       fmt_double(worst_aware.avg_radius)});
   }
   result.tables.emplace_back(
@@ -527,15 +529,11 @@ ExperimentResult experiment_expected_complexity(const ExperimentScale& scale) {
                "E[avg] universe-aware", "max (every perm)"});
   const std::size_t n_max = scale.at_least(1u << 14, 64);
   for (std::size_t n = 16; n <= n_max; n *= 4) {
-    SweepOptions sweep_options;
-    sweep_options.trials = std::max<std::size_t>(6, scale.at_least(30, 6));
-    sweep_options.seed = 515;
-    const auto sweep = run_random_sweep(
-        {n}, [](std::size_t m) { return graph::make_cycle(m); },
-        algo::make_largest_id_view(), sweep_options);
+    const auto sweep =
+        random_cycle_sweep("largest-id", {n}, std::max<std::size_t>(6, scale.at_least(30, 6)), 515);
     const double exact = analysis::expected_largest_id_average(n);
-    table.add_row({Table::cell(n), fmt_double(exact), fmt_double(sweep[0].avg_mean),
-                   fmt_double(sweep[0].avg_sd),
+    table.add_row({Table::cell(n), fmt_double(exact), fmt_double(sweep[0].point.avg_mean),
+                   fmt_double(sweep[0].point.avg_sd),
                    fmt_double(exact / std::log(static_cast<double>(n))),
                    fmt_double(analysis::expected_universe_aware_average(n)),
                    Table::cell(analysis::deterministic_largest_id_max(n))});

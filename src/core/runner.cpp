@@ -1,13 +1,5 @@
 #include "core/runner.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <thread>
-
-#include "support/assert.hpp"
-#include "support/rng.hpp"
-#include "support/stats.hpp"
-
 namespace avglocal::core {
 
 Measurement run_assignment(const graph::Graph& g, const graph::IdAssignment& ids,
@@ -16,70 +8,6 @@ Measurement run_assignment(const graph::Graph& g, const graph::IdAssignment& ids
   local::ViewEngineOptions options;
   options.semantics = semantics;
   return measure(local::run_views(g, ids, algorithm, options));
-}
-
-std::vector<SweepPoint> run_random_sweep(const std::vector<std::size_t>& ns,
-                                         const GraphFactory& graphs,
-                                         const local::ViewAlgorithmFactory& algorithm,
-                                         const SweepOptions& options) {
-  AVGLOCAL_EXPECTS(options.trials >= 1);
-
-  // One pool for the whole sweep: workers outlive every point, so threads
-  // are created exactly once no matter how many sizes are measured. An
-  // explicit thread count is honoured exactly (see SweepOptions::threads);
-  // only the default is capped at `trials`, the most this trial-parallel
-  // sweep can use.
-  std::unique_ptr<support::ThreadPool> owned_pool;
-  support::ThreadPool* pool = options.pool;
-  if (pool == nullptr) {
-    const std::size_t workers =
-        options.threads != 0
-            ? options.threads
-            : std::min(std::max<std::size_t>(1, std::thread::hardware_concurrency()),
-                       options.trials);
-    owned_pool = std::make_unique<support::ThreadPool>(workers);
-    pool = owned_pool.get();
-  }
-
-  std::vector<SweepPoint> points;
-  points.reserve(ns.size());
-  for (std::size_t point_index = 0; point_index < ns.size(); ++point_index) {
-    const std::size_t n = ns[point_index];
-    const graph::Graph g = graphs(n);
-    AVGLOCAL_REQUIRE_MSG(g.vertex_count() == n, "graph factory size mismatch");
-
-    // Trials are embarrassingly parallel, so the pool sweeps trials and each
-    // trial runs the view engine serially (per-worker grower reuse happens
-    // inside run_views). Seeds derive from (seed, point, trial) by nested
-    // mixing - streams never alias across points at any trial count - so
-    // results are identical for every pool size and schedule.
-    std::vector<Measurement> results(options.trials);
-    const std::uint64_t point_seed = support::derive_seed(options.seed, point_index);
-    pool->for_range(options.trials, 1, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t trial = begin; trial < end; ++trial) {
-        support::Xoshiro256 rng(support::derive_seed(point_seed, trial));
-        const graph::IdAssignment ids = graph::IdAssignment::random(n, rng);
-        results[trial] = run_assignment(g, ids, algorithm, options.semantics);
-      }
-    });
-
-    support::RunningStats avg_stats;
-    support::RunningStats max_stats;
-    SweepPoint point;
-    point.n = n;
-    point.trials = options.trials;
-    for (const Measurement& m : results) {
-      avg_stats.add(m.avg_radius);
-      max_stats.add(static_cast<double>(m.max_radius));
-      point.max_worst = std::max(point.max_worst, m.max_radius);
-    }
-    point.avg_mean = avg_stats.mean();
-    point.avg_sd = avg_stats.stddev();
-    point.avg_worst = avg_stats.max();
-    point.max_mean = max_stats.mean();
-    points.push_back(point);
-  }
-  return points;
 }
 
 }  // namespace avglocal::core

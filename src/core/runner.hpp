@@ -1,17 +1,15 @@
-// Measurement runners: one-shot adversarial runs and multi-trial random
-// sweeps (parallelised over trials, deterministic per seed regardless of
-// thread schedule).
+// One-shot measurement runs on an explicit identifier assignment. Random
+// sweeps over many assignments go through core::SweepDriver
+// (core/sweep_driver.hpp) or, declaratively, core::run_scenario
+// (core/scenario.hpp).
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "core/measure.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "local/view_engine.hpp"
-#include "support/thread_pool.hpp"
 
 namespace avglocal::core {
 
@@ -22,42 +20,5 @@ using GraphFactory = std::function<graph::Graph(std::size_t)>;
 Measurement run_assignment(const graph::Graph& g, const graph::IdAssignment& ids,
                            const local::ViewAlgorithmFactory& algorithm,
                            local::ViewSemantics semantics = local::ViewSemantics::kInducedBall);
-
-/// Aggregate of `trials` random-permutation runs at one size.
-struct SweepPoint {
-  std::size_t n = 0;
-  std::size_t trials = 0;
-  double avg_mean = 0.0;   ///< mean over trials of the per-run average radius
-  double avg_sd = 0.0;     ///< sample sd of the per-run average radius
-  double avg_worst = 0.0;  ///< worst per-run average radius observed
-  double max_mean = 0.0;   ///< mean over trials of the per-run max radius
-  std::size_t max_worst = 0;  ///< worst per-run max radius observed
-};
-
-struct SweepOptions {
-  std::size_t trials = 32;
-  std::uint64_t seed = 42;
-  local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
-  /// Worker threads; ignored when `pool` is set. The sizing rule:
-  ///  * 0 (default): min(hardware concurrency, trials) - this sweep
-  ///    parallelises over trials only, so more workers than trials would
-  ///    idle here;
-  ///  * explicit non-zero: honoured exactly, never clamped. Callers sizing
-  ///    one pool for a larger workload (e.g. the batched sweep engine,
-  ///    which parallelises over vertices and can keep more workers busy
-  ///    than one point has trials) must get the count they asked for.
-  std::size_t threads = 0;
-  /// Optional externally owned worker pool, reused across sweeps. When
-  /// nullptr, the sweep creates one pool of `threads` workers up front and
-  /// reuses it for every point (threads are never created per point).
-  support::ThreadPool* pool = nullptr;
-};
-
-/// Runs the algorithm on `trials` uniformly random identifier permutations
-/// for each size in `ns` and aggregates both measures.
-std::vector<SweepPoint> run_random_sweep(const std::vector<std::size_t>& ns,
-                                         const GraphFactory& graphs,
-                                         const local::ViewAlgorithmFactory& algorithm,
-                                         const SweepOptions& options = {});
 
 }  // namespace avglocal::core

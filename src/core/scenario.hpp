@@ -28,15 +28,14 @@
 #include <vector>
 
 #include "core/batched_sweep.hpp"
-#include "core/message_sweep.hpp"
+#include "core/runner.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_backend.hpp"
 #include "graph/family_registry.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 
 namespace avglocal::core {
-
-class SweepBackend;
 
 /// How many random id-assignments a sweep point runs.
 struct TrialSchedule {
@@ -185,9 +184,9 @@ struct ScenarioExecution {
 /// Runs the scenario monolithically, applying the trial schedule per point.
 ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& execution = {});
 
-/// Runs one shard of a resolved scenario through the engine its spec names
-/// (the scenario-level counterpart of run_sweep_shard): accumulators for
-/// points [shard.point_begin, point_end), trials [trial_begin, trial_end).
+/// Runs one shard of a resolved scenario through the engine its spec names:
+/// accumulators for points [shard.point_begin, point_end), trials
+/// [trial_begin, trial_end).
 /// `options` must come from resolved.sweep_options() (threads/batch may be
 /// adjusted; they never change results).
 std::vector<PointAccumulator> run_scenario_shard(const ResolvedScenario& resolved,

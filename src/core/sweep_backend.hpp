@@ -35,7 +35,7 @@
 
 #include "core/batched_sweep.hpp"
 #include "core/memory_model.hpp"
-#include "core/message_sweep.hpp"
+#include "local/engine.hpp"
 #include "support/thread_pool.hpp"
 
 namespace avglocal::core {
@@ -64,11 +64,6 @@ class SweepBackend {
   /// Engine label as carried by ScenarioSpec::engine and shard artefact
   /// metas: "view" or "message".
   virtual std::string_view name() const noexcept = 0;
-
-  /// True when one prepared state amortises warm-up across a whole batch of
-  /// assignments (both bundled backends do; a hypothetical subprocess or
-  /// remote backend would not).
-  virtual bool supports_batching() const noexcept = 0;
 
   virtual Granularity parallel_granularity() const noexcept = 0;
 
@@ -110,7 +105,6 @@ class ViewBackend final : public SweepBackend {
               bool layer_jump = true);
 
   std::string_view name() const noexcept override { return "view"; }
-  bool supports_batching() const noexcept override { return true; }
   Granularity parallel_granularity() const noexcept override { return Granularity::kVertices; }
   std::unique_ptr<BackendPointState> prepare(const graph::Graph& g,
                                              std::size_t point_index) const override;
@@ -125,6 +119,18 @@ class ViewBackend final : public SweepBackend {
   bool layer_jump_;
 };
 
+/// Builds the message-algorithm factory for the size-n member of a family
+/// (the message analogue of AlgorithmProvider).
+using MessageAlgorithmProvider = std::function<local::AlgorithmFactory(std::size_t)>;
+
+/// Engine-level knobs of a message sweep. Results depend on `knowledge`
+/// (it is part of the workload, carried by the algorithm registry), never
+/// on `max_rounds` (a liveness guard).
+struct MessageEngineOptions {
+  local::Knowledge knowledge = local::Knowledge::kUnknownN;
+  std::size_t max_rounds = 1u << 20;
+};
+
 /// The message-formulation backend, wrapping a persistent
 /// local::MessageBatchRunner per prepared state: topology tables and arenas
 /// are built once per (point, lane) and rebound per assignment, surviving
@@ -136,7 +142,6 @@ class MessageBackend final : public SweepBackend {
   MessageBackend(MessageAlgorithmProvider algorithms, MessageEngineOptions engine = {});
 
   std::string_view name() const noexcept override { return "message"; }
-  bool supports_batching() const noexcept override { return true; }
   Granularity parallel_granularity() const noexcept override { return Granularity::kTrials; }
   std::unique_ptr<BackendPointState> prepare(const graph::Graph& g,
                                              std::size_t point_index) const override;

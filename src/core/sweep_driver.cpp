@@ -108,9 +108,9 @@ PointAccumulator SweepDriver::run_trials(Point& point, std::size_t trial_begin,
   const std::size_t chunks = std::min(pool_->size(), total);
   if (point.lanes_.size() < chunks) point.lanes_.resize(chunks);
   // Lane states are prepared on the calling thread, never inside the pool:
-  // backend prepare() runs the caller's algorithm provider, which the
-  // pre-driver sweep API never required to be thread-safe and which this
-  // API does not either (run_batch, by contrast, runs on workers).
+  // backend prepare() runs the caller's algorithm provider, which this API
+  // does not require to be thread-safe (run_batch, by contrast, runs on
+  // workers).
   for (std::size_t c = 0; c < chunks; ++c) {
     Point::Lane& lane = point.lanes_[c];
     if (lane.state == nullptr) lane.state = backend_->prepare(*point.g_, point.point_index_);

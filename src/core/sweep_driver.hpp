@@ -30,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/runner.hpp"
 #include "core/sweep_backend.hpp"
 
 namespace avglocal::core {

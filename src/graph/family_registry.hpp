@@ -6,8 +6,8 @@
 // sizes it can actually realise. Sweep layers ask for "about n vertices";
 // the family answers with the nearest size it can build exactly (a torus
 // needs a square, a regular graph needs n*d even), so downstream code that
-// requires `vertex_count() == n` - run_batched_sweep, the shard planner -
-// holds by construction for every family.
+// requires `vertex_count() == n` - SweepDriver, the shard planner - holds
+// by construction for every family.
 //
 // Randomised families draw from the caller's RNG only; building the same
 // (family, n, params) from an equally seeded stream is deterministic, which

@@ -1,7 +1,7 @@
 // Tests of the batched sweep subsystem: exactness of the geometry-replay
-// engine against per-trial runs, bit-identical statistics against
-// run_random_sweep, and bit-identical shard merge through the JSON artefact
-// round-trip.
+// engine against per-trial runs, bit-identical statistics against a
+// per-trial fold of run_assignment over the sweep's own id streams, and
+// bit-identical shard merge through the JSON artefact round-trip.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,12 +15,15 @@
 #include "algo/mis_ring.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "core/shard.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view.hpp"
 #include "local/view_engine.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -228,67 +231,84 @@ TEST(RunViewsBatched, PooledSweepIsIdenticalToSerial) {
   EXPECT_EQ(a.radii, b.radii);
 }
 
-TEST(BatchedSweep, AggregatesAreBitIdenticalToRandomSweep) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
+/// A fixed-schedule largest-id sweep of the cycle.
+core::ScenarioSpec largest_id_cycle(std::vector<std::size_t> ns, std::size_t trials,
+                                    std::uint64_t seed) {
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id";
+  spec.ns = std::move(ns);
+  spec.seed = seed;
+  spec.schedule.max_trials = trials;
+  return spec;
+}
 
-  core::SweepOptions per_trial;
-  per_trial.trials = 12;
-  per_trial.seed = 5;
-  per_trial.threads = 1;
-  const auto classic =
-      core::run_random_sweep({16, 33}, graphs, algo::make_largest_id_view(), per_trial);
+std::vector<core::BatchedSweepPoint> sweep_points(const core::ScenarioSpec& spec,
+                                                  const core::ScenarioExecution& execution) {
+  std::vector<core::BatchedSweepPoint> points;
+  for (core::ScenarioPoint& p : core::run_scenario(spec, execution).points) {
+    points.push_back(std::move(p.point));
+  }
+  return points;
+}
 
-  core::BatchedSweepOptions batched;
-  batched.trials = 12;
-  batched.seed = 5;
-  batched.threads = 1;
-  const auto fast = core::run_batched_sweep({16, 33}, graphs, algo::make_largest_id_view(), batched);
+core::ScenarioExecution threads(std::size_t count) {
+  core::ScenarioExecution execution;
+  execution.threads = count;
+  return execution;
+}
 
-  ASSERT_EQ(classic.size(), fast.size());
-  for (std::size_t i = 0; i < classic.size(); ++i) {
-    EXPECT_EQ(classic[i].n, fast[i].n);
-    EXPECT_EQ(classic[i].trials, fast[i].trials);
+TEST(BatchedSweep, AggregatesAreBitIdenticalToPerTrialRuns) {
+  const core::ScenarioSpec spec = largest_id_cycle({16, 33}, 12, 5);
+  const auto fast = sweep_points(spec, threads(1));
+  ASSERT_EQ(fast.size(), spec.ns.size());
+
+  // The oracle: one full view-engine run per trial over the sweep's own id
+  // streams, folded in trial order.
+  for (std::size_t i = 0; i < spec.ns.size(); ++i) {
+    const std::size_t n = spec.ns[i];
+    const graph::Graph g = graph::make_cycle(n);
+    std::vector<graph::IdAssignment> batch;
+    core::fill_sweep_batch(batch, n, support::derive_seed(spec.seed, i), 0,
+                           spec.schedule.max_trials);
+    support::RunningStats avg_stats;
+    support::RunningStats max_stats;
+    std::size_t max_worst = 0;
+    for (const graph::IdAssignment& ids : batch) {
+      const core::Measurement m = core::run_assignment(g, ids, algo::make_largest_id_view());
+      avg_stats.add(m.avg_radius);
+      max_stats.add(static_cast<double>(m.max_radius));
+      max_worst = std::max(max_worst, m.max_radius);
+    }
+    EXPECT_EQ(fast[i].n, n);
+    EXPECT_EQ(fast[i].trials, spec.schedule.max_trials);
     // Same per-trial sums, same accumulation order, same divisions: the
     // doubles must be equal to the last bit, not merely close.
-    EXPECT_EQ(classic[i].avg_mean, fast[i].avg_mean);
-    EXPECT_EQ(classic[i].avg_sd, fast[i].avg_sd);
-    EXPECT_EQ(classic[i].avg_worst, fast[i].avg_worst);
-    EXPECT_EQ(classic[i].max_mean, fast[i].max_mean);
-    EXPECT_EQ(classic[i].max_worst, fast[i].max_worst);
+    EXPECT_EQ(fast[i].avg_mean, avg_stats.mean());
+    EXPECT_EQ(fast[i].avg_sd, avg_stats.stddev());
+    EXPECT_EQ(fast[i].avg_worst, avg_stats.max());
+    EXPECT_EQ(fast[i].max_mean, max_stats.mean());
+    EXPECT_EQ(fast[i].max_worst, max_worst);
   }
 }
 
 TEST(BatchedSweep, IndependentOfThreadsAndBatchSize) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  core::BatchedSweepOptions base;
-  base.trials = 10;
-  base.seed = 9;
-  base.threads = 1;
-  base.node_profile = true;
-  const auto reference =
-      core::run_batched_sweep({24, 40}, graphs, algo::make_largest_id_view(), base);
+  core::ScenarioSpec spec = largest_id_cycle({24, 40}, 10, 9);
+  spec.node_profile = true;
+  const auto reference = sweep_points(spec, threads(1));
 
-  for (const std::size_t threads : {std::size_t{4}}) {
-    for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      core::BatchedSweepOptions options = base;
-      options.threads = threads;
-      options.batch_size = batch_size;
-      const auto points =
-          core::run_batched_sweep({24, 40}, graphs, algo::make_largest_id_view(), options);
-      EXPECT_EQ(points, reference) << "threads=" << threads << " batch=" << batch_size;
-    }
+  for (const std::size_t batch_size : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    core::ScenarioExecution execution = threads(4);
+    execution.batch_size = batch_size;
+    EXPECT_EQ(sweep_points(spec, execution), reference) << "threads=4 batch=" << batch_size;
   }
 }
 
 TEST(BatchedSweep, DistributionAndNodeMeasuresAreConsistent) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  core::BatchedSweepOptions options;
-  options.trials = 8;
-  options.seed = 2;
-  options.node_profile = true;
-  options.quantile_probs = {0.0, 0.5, 1.0};
-  const auto points =
-      core::run_batched_sweep({30}, graphs, algo::make_largest_id_view(), options);
+  core::ScenarioSpec spec = largest_id_cycle({30}, 8, 2);
+  spec.node_profile = true;
+  spec.quantile_probs = {0.0, 0.5, 1.0};
+  const auto points = sweep_points(spec, {});
   ASSERT_EQ(points.size(), 1u);
   const auto& p = points[0];
 
@@ -343,20 +363,16 @@ TEST(ShardPlan, PartitionsTrialsAcrossShards) {
 }
 
 TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const std::vector<std::size_t> ns = {12, 26};
-  core::BatchedSweepOptions options;
-  options.trials = 9;
-  options.seed = 77;
-  options.threads = 2;
-  options.node_profile = true;
-
-  const auto monolithic =
-      core::run_batched_sweep(ns, graphs, algo::make_largest_id_view(), options);
+  core::ScenarioSpec spec = largest_id_cycle({12, 26}, 9, 77);
+  spec.node_profile = true;
+  const auto monolithic = sweep_points(spec, threads(2));
 
   // A deliberately lopsided plan: one shard owns all of point 0 while
   // point 1 is split across two uneven trial ranges.
-  const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  core::BatchedSweepOptions options = resolved.sweep_options();
+  options.threads = 2;
+  const core::SweepPlanMeta meta = core::scenario_plan_meta(resolved);
   const std::vector<core::SweepShard> plan = {
       {0, 1, 0, 9},  // point 0, all trials
       {1, 2, 0, 4},  // point 1, first trials
@@ -367,7 +383,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
     core::ShardDocument doc;
     doc.meta = meta;
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = core::run_scenario_shard(resolved, options, shard);
     artefacts.push_back(core::shard_to_json(doc));
   }
 
@@ -384,23 +400,19 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
 }
 
 TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const std::vector<std::size_t> ns = {18};
-  core::BatchedSweepOptions options;
-  options.trials = 7;
-  options.seed = 13;
+  const core::ScenarioSpec spec = largest_id_cycle({18}, 7, 13);
+  const auto monolithic = sweep_points(spec, threads(1));
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  core::BatchedSweepOptions options = resolved.sweep_options();
   options.threads = 1;
-
-  const auto monolithic =
-      core::run_batched_sweep(ns, graphs, algo::make_largest_id_view(), options);
-  const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
+  const core::SweepPlanMeta meta = core::scenario_plan_meta(resolved);
 
   std::vector<core::ShardDocument> docs;
-  for (const auto& shard : core::plan_shards(ns.size(), options.trials, 3)) {
+  for (const auto& shard : core::plan_shards(spec.ns.size(), options.trials, 3)) {
     core::ShardDocument doc;
     doc.meta = meta;
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = core::run_scenario_shard(resolved, options, shard);
     docs.push_back(core::parse_shard_json(core::shard_to_json(doc)));
   }
   EXPECT_EQ(core::merge_shards(std::move(docs)), monolithic);
@@ -409,42 +421,42 @@ TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
 TEST(BatchedSweep, ProviderParameterisesAlgorithmPerPoint) {
   // cv3's schedule radius depends on n: a multi-point sweep must build the
   // factory per point, not once from the first size.
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  core::BatchedSweepOptions options;
-  options.trials = 5;
-  options.seed = 3;
-  options.threads = 1;
-  const auto points = core::run_batched_sweep(
-      {32, 128}, graphs, [](std::size_t n) { return algo::make_cole_vishkin_view(n); },
-      options);
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "cv3";
+  spec.ns = {32, 128};
+  spec.seed = 3;
+  spec.schedule.max_trials = 5;
+  const auto points = sweep_points(spec, threads(1));
   ASSERT_EQ(points.size(), 2u);
 
-  // Each point must equal a sweep of just that size with the matching
-  // factory and the same global point index (hence the same trial seeds).
+  // Each point must equal a sweep of just that size with a factory fixed
+  // at that n and the same global point index (hence the same trial seeds).
+  const core::BatchedSweepOptions options = core::resolve_scenario(spec).sweep_options();
   for (std::size_t point = 0; point < 2; ++point) {
-    const std::size_t n = point == 0 ? 32 : 128;
-    const graph::Graph g = graphs(n);
-    const core::PointAccumulator acc = core::accumulate_point(
-        g, point, algo::make_cole_vishkin_view(n), options, 0, options.trials, nullptr);
+    const std::size_t n = spec.ns[point];
+    const graph::Graph g = graph::make_cycle(n);
+    const core::ViewBackend backend(
+        [n](std::size_t) { return algo::make_cole_vishkin_view(n); });
+    const core::SweepDriver driver(backend, options);
+    core::SweepDriver::Point prepared = driver.prepare(g, point);
+    const core::PointAccumulator acc = driver.run_trials(prepared, 0, options.trials);
     EXPECT_EQ(points[point], core::finalize_point(acc, options)) << "n=" << n;
   }
 }
 
 TEST(Shards, MergeRejectsMismatchedWorkloadLabels) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const std::vector<std::size_t> ns = {14};
-  core::BatchedSweepOptions options;
-  options.trials = 4;
-  options.seed = 1;
+  const core::ResolvedScenario resolved = core::resolve_scenario(largest_id_cycle({14}, 4, 1));
+  core::BatchedSweepOptions options = resolved.sweep_options();
   options.threads = 1;
 
   const auto make_doc = [&](const std::string& algorithm, const core::SweepShard& shard) {
     core::ShardDocument doc;
-    doc.meta = core::SweepPlanMeta::from_options(ns, options);
+    doc.meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
     doc.meta.algorithm = algorithm;
     doc.meta.graph = "cycle";
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = core::run_scenario_shard(resolved, options, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
 
@@ -461,19 +473,16 @@ TEST(Shards, MergeRejectsMismatchedWorkloadLabels) {
 }
 
 TEST(Shards, MergeRejectsIncompleteAndMismatchedPlans) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const std::vector<std::size_t> ns = {14};
-  core::BatchedSweepOptions options;
-  options.trials = 6;
-  options.seed = 4;
+  const core::ResolvedScenario resolved = core::resolve_scenario(largest_id_cycle({14}, 6, 4));
+  core::BatchedSweepOptions options = resolved.sweep_options();
   options.threads = 1;
-  const core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(ns, options);
+  const core::SweepPlanMeta meta = core::scenario_plan_meta(resolved);
 
   const auto run_shard = [&](const core::SweepShard& shard) {
     core::ShardDocument doc;
     doc.meta = meta;
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(ns, graphs, algo::make_largest_id_view(), options, shard);
+    doc.points = core::run_scenario_shard(resolved, options, shard);
     return doc;
   };
 

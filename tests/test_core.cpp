@@ -6,6 +6,7 @@
 #include "core/experiments.hpp"
 #include "core/measure.hpp"
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
 
@@ -39,36 +40,16 @@ TEST(Runner, AssignmentRunMatchesEngine) {
   EXPECT_EQ(m.max_radius, 16u);  // the max vertex must close the ball
 }
 
-TEST(Runner, SweepIsDeterministicAcrossThreadCounts) {
-  core::SweepOptions serial;
-  serial.trials = 10;
-  serial.seed = 5;
-  serial.threads = 1;
-  core::SweepOptions parallel = serial;
-  parallel.threads = 8;
-
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const auto a =
-      core::run_random_sweep({16, 32}, graphs, algo::make_largest_id_view(), serial);
-  const auto b =
-      core::run_random_sweep({16, 32}, graphs, algo::make_largest_id_view(), parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].avg_mean, b[i].avg_mean);
-    EXPECT_DOUBLE_EQ(a[i].avg_sd, b[i].avg_sd);
-    EXPECT_EQ(a[i].max_worst, b[i].max_worst);
-  }
-}
-
 TEST(Runner, SweepInvariants) {
-  core::SweepOptions options;
-  options.trials = 8;
-  options.seed = 9;
-  const auto points = core::run_random_sweep(
-      {24}, [](std::size_t n) { return graph::make_cycle(n); },
-      algo::make_largest_id_view(), options);
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id";
+  spec.ns = {24};
+  spec.seed = 9;
+  spec.schedule.max_trials = 8;
+  const auto points = core::run_scenario(spec).points;
   ASSERT_EQ(points.size(), 1u);
-  const auto& p = points[0];
+  const auto& p = points[0].point;
   EXPECT_EQ(p.n, 24u);
   EXPECT_EQ(p.trials, 8u);
   EXPECT_LE(p.avg_mean, p.avg_worst + 1e-12);

@@ -1,8 +1,9 @@
 // Cross-engine oracle suite: algorithms with both a view and a message
 // formulation must produce identical per-node output rounds through every
-// execution path - run_message_sweep (one reused engine), run_views_batched
-// (geometry replay) and the full-information gossip adapter - on rings,
-// tori, gnp graphs and random trees under shared sweep seeds.
+// execution path - a SweepDriver over a MessageBackend (one reused engine)
+// and over a ViewBackend (geometry replay), and the full-information gossip
+// adapter - on rings, tori, gnp graphs and random trees under shared sweep
+// seeds.
 //
 // This is the strongest claim the simulator makes (the paper's two
 // formulations of the LOCAL model agree, at code level), and it pins the
@@ -10,6 +11,7 @@
 // not just in aggregate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -19,7 +21,6 @@
 #include "algo/largest_id.hpp"
 #include "algo/mis_ring.hpp"
 #include "core/batched_sweep.hpp"
-#include "core/message_sweep.hpp"
 #include "core/shard.hpp"
 #include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
@@ -72,14 +73,19 @@ TEST(CrossEngineOracle, MessageSweepEqualsBatchedViewsAndAdapterEverywhere) {
 
     // Path 1: the message sweep over the gossip adapter (one reused
     // engine for all trials).
-    const core::PointAccumulator message_acc = core::accumulate_message_point(
-        g, /*point_index=*/0, local::make_full_info_factory(algo::make_largest_id_view()), {},
-        options, 0, kTrials);
+    const core::MessageBackend adapter(
+        [](std::size_t) { return local::make_full_info_factory(algo::make_largest_id_view()); });
+    const core::SweepDriver message_driver(adapter, options);
+    core::SweepDriver::Point message_point = message_driver.prepare(g, /*point_index=*/0);
+    const core::PointAccumulator message_acc =
+        message_driver.run_trials(message_point, 0, kTrials);
 
-    // Path 2: the batched view engine under the same options.
-    const core::PointAccumulator view_acc =
-        core::accumulate_point(g, /*point_index=*/0, algo::make_largest_id_view(), options, 0,
-                               kTrials, /*pool=*/nullptr);
+    // Path 2: the batched view engine under the same seeds and semantics.
+    const core::ViewBackend views([](std::size_t) { return algo::make_largest_id_view(); },
+                                  local::ViewSemantics::kFloodingKnowledge);
+    const core::SweepDriver view_driver(views, options);
+    core::SweepDriver::Point view_point = view_driver.prepare(g, /*point_index=*/0);
+    const core::PointAccumulator view_acc = view_driver.run_trials(view_point, 0, kTrials);
 
     // Identical per-node output rounds make the entire exact-integer
     // accumulators equal - per-trial sums and maxima, per-node sums, node
@@ -114,16 +120,20 @@ TEST(CrossEngineOracle, RingTokenFloodingMatchesViewRadii) {
   options.seed = kSeed;
   options.semantics = local::ViewSemantics::kFloodingKnowledge;
 
-  const core::PointAccumulator token_acc = core::accumulate_message_point(
-      g, 0, algo::make_largest_id_messages(), {}, options, 0, kTrials);
-  const core::PointAccumulator view_acc =
-      core::accumulate_point(g, 0, algo::make_largest_id_view(), options, 0, kTrials, nullptr);
-  EXPECT_EQ(token_acc, view_acc);
-
-  const core::PointAccumulator adapter_acc = core::accumulate_message_point(
-      g, 0, local::make_full_info_factory(algo::make_largest_id_view()), {}, options, 0,
-      kTrials);
-  EXPECT_EQ(token_acc, adapter_acc);
+  const core::MessageBackend tokens([](std::size_t) { return algo::make_largest_id_messages(); });
+  const core::ViewBackend views([](std::size_t) { return algo::make_largest_id_view(); },
+                                local::ViewSemantics::kFloodingKnowledge);
+  const core::MessageBackend adapter(
+      [](std::size_t) { return local::make_full_info_factory(algo::make_largest_id_view()); });
+  const std::array<const core::SweepBackend*, 3> backends = {&tokens, &views, &adapter};
+  std::vector<core::PointAccumulator> accs;
+  for (const core::SweepBackend* backend : backends) {
+    const core::SweepDriver driver(*backend, options);
+    core::SweepDriver::Point point = driver.prepare(g, 0);
+    accs.push_back(driver.run_trials(point, 0, kTrials));
+  }
+  EXPECT_EQ(accs[0], accs[1]) << "token flooding vs view engine";
+  EXPECT_EQ(accs[0], accs[2]) << "token flooding vs full-information adapter";
 }
 
 /// Renders one shard artefact through a directly-constructed ViewBackend,
@@ -184,14 +194,19 @@ TEST(CrossEngineOracle, ParityIsThreadScheduleIndependent) {
   options.seed = 5;
   options.semantics = local::ViewSemantics::kFloodingKnowledge;
 
-  const core::PointAccumulator message_acc = core::accumulate_message_point(
-      g, 0, local::make_full_info_factory(algo::make_largest_id_view()), {}, options, 0, 3);
+  const core::MessageBackend adapter(
+      [](std::size_t) { return local::make_full_info_factory(algo::make_largest_id_view()); });
+  const core::SweepDriver message_driver(adapter, options);
+  core::SweepDriver::Point message_point = message_driver.prepare(g, 0);
+  const core::PointAccumulator message_acc = message_driver.run_trials(message_point, 0, 3);
 
+  const core::ViewBackend views([](std::size_t) { return algo::make_largest_id_view(); },
+                                local::ViewSemantics::kFloodingKnowledge);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     support::ThreadPool pool(threads);
-    const core::PointAccumulator view_acc = core::accumulate_point(
-        g, 0, algo::make_largest_id_view(), options, 0, 3, &pool);
-    EXPECT_EQ(message_acc, view_acc) << "threads=" << threads;
+    const core::SweepDriver view_driver(views, options, &pool);
+    core::SweepDriver::Point view_point = view_driver.prepare(g, 0);
+    EXPECT_EQ(message_acc, view_driver.run_trials(view_point, 0, 3)) << "threads=" << threads;
   }
 }
 

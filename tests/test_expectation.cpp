@@ -5,10 +5,8 @@
 
 #include <cmath>
 
-#include "algo/largest_id.hpp"
 #include "analysis/expectation.hpp"
-#include "core/runner.hpp"
-#include "graph/generators.hpp"
+#include "core/scenario.hpp"
 
 namespace {
 
@@ -51,33 +49,38 @@ TEST(Expectation, UniverseAwareIsSmallerButSameOrder) {
   }
 }
 
+/// Fixed-schedule largest-id sweep of one cycle size through the scenario
+/// layer.
+core::BatchedSweepPoint largest_id_cycle_point(std::size_t n, std::size_t trials,
+                                               std::uint64_t seed) {
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id";
+  spec.ns = {n};
+  spec.seed = seed;
+  spec.schedule.max_trials = trials;
+  return core::run_scenario(spec).points.at(0).point;
+}
+
 TEST(Expectation, ClassicMeasureIsDeterministic) {
   // Every permutation gives max radius ceil((n-1)/2): check by running the
   // engine over several random permutations.
   const std::size_t n = 40;
-  core::SweepOptions options;
-  options.trials = 10;
-  options.seed = 3;
-  const auto points = core::run_random_sweep(
-      {n}, [](std::size_t m) { return graph::make_cycle(m); },
-      algo::make_largest_id_view(), options);
-  EXPECT_EQ(points[0].max_worst, analysis::deterministic_largest_id_max(n));
-  EXPECT_DOUBLE_EQ(points[0].max_mean,
+  const core::BatchedSweepPoint point = largest_id_cycle_point(n, 10, 3);
+  EXPECT_EQ(point.max_worst, analysis::deterministic_largest_id_max(n));
+  EXPECT_DOUBLE_EQ(point.max_mean,
                    static_cast<double>(analysis::deterministic_largest_id_max(n)));
 }
 
 TEST(Expectation, SimulationWithinSamplingError) {
-  const std::size_t n = 4096;
-  core::SweepOptions options;
-  options.trials = 40;
-  options.seed = 9;
-  const auto points = core::run_random_sweep(
-      {n}, [](std::size_t m) { return graph::make_cycle(m); },
-      algo::make_largest_id_view(), options);
-  const double exact = analysis::expected_largest_id_average(n);
-  const double stderr_mean =
-      points[0].avg_sd / std::sqrt(static_cast<double>(options.trials));
-  EXPECT_NEAR(points[0].avg_mean, exact, 5 * stderr_mean + 1e-6);
+  // Every size of experiment E11 at full scale.
+  const std::size_t trials = 40;
+  for (const std::size_t n : {16u, 64u, 256u, 1024u, 4096u, 16384u}) {
+    const core::BatchedSweepPoint point = largest_id_cycle_point(n, trials, 9);
+    const double exact = analysis::expected_largest_id_average(n);
+    const double stderr_mean = point.avg_sd / std::sqrt(static_cast<double>(trials));
+    EXPECT_NEAR(point.avg_mean, exact, 5 * stderr_mean + 1e-6) << "n = " << n;
+  }
 }
 
 }  // namespace

@@ -65,7 +65,10 @@ void expect_same_topology(const graph::Graph& a, const graph::Graph& b) {
 }
 
 core::PointAccumulator sweep_point(const graph::Graph& g, const core::BatchedSweepOptions& opt) {
-  return core::accumulate_point(g, 0, algo::make_largest_id_view(), opt, 0, opt.trials, nullptr);
+  const core::ViewBackend backend([](std::size_t) { return algo::make_largest_id_view(); });
+  const core::SweepDriver driver(backend, opt);
+  core::SweepDriver::Point point = driver.prepare(g, 0);
+  return driver.run_trials(point, 0, opt.trials);
 }
 
 core::BatchedSweepOptions small_sweep_options() {

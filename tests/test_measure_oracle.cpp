@@ -17,7 +17,8 @@
 #include "algo/largest_id.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/measure.hpp"
-#include "core/message_sweep.hpp"
+#include "core/scenario.hpp"
+#include "core/sweep_driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view_engine.hpp"
@@ -191,16 +192,18 @@ void expect_point_matches_brute_force(const graph::Graph& g,
 
 TEST(MeasureOracle, ViewSweepPointMatchesDirectEnumeration) {
   const auto g = graph::make_cycle(7);
-  core::BatchedSweepOptions options;
-  options.trials = 10;
-  options.seed = 23;
-  options.threads = 1;
-  options.quantile_probs = {0.0, 0.25, 0.5, 0.9, 1.0};
-
-  const auto points = core::run_batched_sweep(
-      {7}, [](std::size_t n) { return graph::make_cycle(n); }, algo::make_largest_id_view(),
-      options);
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id";
+  spec.ns = {7};
+  spec.seed = 23;
+  spec.schedule.max_trials = 10;
+  spec.quantile_probs = {0.0, 0.25, 0.5, 0.9, 1.0};
+  core::ScenarioExecution serial;
+  serial.threads = 1;
+  const auto points = core::run_scenario(spec, serial).points;
   ASSERT_EQ(points.size(), 1u);
+  const core::BatchedSweepOptions options = core::resolve_scenario(spec).sweep_options();
 
   // Rebuild the sweep's id streams and run each trial directly.
   std::vector<local::RunResult> runs;
@@ -210,7 +213,7 @@ TEST(MeasureOracle, ViewSweepPointMatchesDirectEnumeration) {
     const auto ids = graph::IdAssignment::random(7, rng);
     runs.push_back(local::run_views(g, ids, algo::make_largest_id_view()));
   }
-  expect_point_matches_brute_force(g, options, points[0], runs);
+  expect_point_matches_brute_force(g, options, points[0].point, runs);
 }
 
 TEST(MeasureOracle, MessageSweepPointMatchesDirectEnumeration) {
@@ -221,9 +224,11 @@ TEST(MeasureOracle, MessageSweepPointMatchesDirectEnumeration) {
   options.seed = 41;
   options.quantile_probs = {0.5, 0.9, 0.99};
 
-  const core::PointAccumulator acc = core::accumulate_message_point(
-      g, 0, algo::make_greedy_colouring_messages(), {}, options, 0, options.trials);
-  const auto point = core::finalize_point(acc, options);
+  const core::MessageBackend backend(
+      [](std::size_t) { return algo::make_greedy_colouring_messages(); });
+  const core::SweepDriver driver(backend, options);
+  core::SweepDriver::Point prepared = driver.prepare(g, 0);
+  const auto point = core::finalize_point(driver.run_trials(prepared, 0, options.trials), options);
 
   std::vector<local::RunResult> runs;
   const std::uint64_t point_seed = support::derive_seed(options.seed, 0);

@@ -1,6 +1,6 @@
 // Tests of the message-sweep subsystem: the batch engine's bit-identity to
 // per-trial run_messages calls (including algorithm reuse through
-// Algorithm::reset), run_message_sweep's accumulators and their shard
+// Algorithm::reset), the message backend's accumulators and their shard
 // round-trip, and the scenario layer's routing of message algorithms
 // through sweep, shard and adaptive-schedule paths.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "algo/largest_id.hpp"
 #include "algo/local_colouring.hpp"
-#include "core/message_sweep.hpp"
 #include "core/scenario.hpp"
 #include "core/shard.hpp"
 #include "graph/generators.hpp"
@@ -106,12 +105,17 @@ TEST(MessageSweep, AccumulatorsMatchPerTrialRunsUnderSweepSeeds) {
   // must reproduce every integer in the accumulator.
   const std::size_t n = 19;
   const auto g = graph::make_cycle(n);
-  core::BatchedSweepOptions options;
-  options.trials = 6;
-  options.seed = 77;
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id-msg";
+  spec.ns = {n};
+  spec.seed = 77;
+  spec.schedule.max_trials = 6;
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  const core::BatchedSweepOptions options = resolved.sweep_options();
 
-  const core::PointAccumulator acc = core::accumulate_message_point(
-      g, /*point_index=*/0, algo::make_largest_id_messages(), {}, options, 0, options.trials);
+  const core::PointAccumulator acc =
+      core::run_scenario_shard(resolved, options, {0, 1, 0, options.trials}).at(0);
 
   EXPECT_EQ(acc.n, n);
   EXPECT_EQ(acc.edges, g.edge_count());
@@ -144,18 +148,28 @@ TEST(MessageSweep, AccumulatorsMatchPerTrialRunsUnderSweepSeeds) {
   EXPECT_EQ(acc.edge_histogram, expected_edge_hist);
 }
 
+/// The finalized points of a scenario run, schedule bookkeeping dropped.
+std::vector<core::BatchedSweepPoint> sweep_points(const core::ScenarioSpec& spec,
+                                                  const core::ScenarioExecution& execution) {
+  std::vector<core::BatchedSweepPoint> points;
+  for (core::ScenarioPoint& p : core::run_scenario(spec, execution).points) {
+    points.push_back(std::move(p.point));
+  }
+  return points;
+}
+
 TEST(MessageSweep, IndependentOfBatchSize) {
-  const auto graphs = [](std::size_t n) { return graph::make_cycle(n); };
-  const auto algorithms = [](std::size_t) { return algo::make_largest_id_messages(); };
-  core::BatchedSweepOptions base;
-  base.trials = 7;
-  base.seed = 3;
-  const auto reference = core::run_message_sweep({16, 24}, graphs, algorithms, {}, base);
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "largest-id-msg";
+  spec.ns = {16, 24};
+  spec.seed = 3;
+  spec.schedule.max_trials = 7;
+  const auto reference = sweep_points(spec, {});
   for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3}}) {
-    core::BatchedSweepOptions options = base;
-    options.batch_size = batch_size;
-    EXPECT_EQ(core::run_message_sweep({16, 24}, graphs, algorithms, {}, options), reference)
-        << "batch=" << batch_size;
+    core::ScenarioExecution execution;
+    execution.batch_size = batch_size;
+    EXPECT_EQ(sweep_points(spec, execution), reference) << "batch=" << batch_size;
   }
 }
 
@@ -169,8 +183,7 @@ TEST(MessageSweep, ShardedMergeIsBitIdenticalToMonolithicSweep) {
   const core::ResolvedScenario resolved = core::resolve_scenario(spec);
   const core::BatchedSweepOptions options = resolved.sweep_options();
 
-  const auto monolithic = core::run_message_sweep(
-      resolved.spec.ns, resolved.graphs, resolved.messages, resolved.message_engine, options);
+  const auto monolithic = sweep_points(spec, {});
 
   core::SweepPlanMeta meta = core::SweepPlanMeta::from_options(resolved.spec.ns, options);
   meta.algorithm = resolved.spec.algorithm;

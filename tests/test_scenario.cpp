@@ -367,8 +367,7 @@ TEST(Scenario, MergeRejectsArtefactsFromDifferentScenarios) {
     doc.meta.graph = "random-regular";  // deliberately parameter-free label
     doc.meta.scenario = core::scenario_to_json(resolved.spec);
     doc.shard = shard;
-    doc.points = core::run_sweep_shard(resolved.spec.ns, resolved.graphs,
-                                       resolved.algorithms, options, shard);
+    doc.points = core::run_scenario_shard(resolved, options, shard);
     return core::parse_shard_json(core::shard_to_json(doc));
   };
 

@@ -144,13 +144,11 @@ TEST(SweepBackend, CapabilityProbes) {
   core::ScenarioSpec view_spec = case_spec(kCases[0]);
   const auto view = core::resolve_scenario(view_spec).make_backend();
   EXPECT_EQ(view->name(), "view");
-  EXPECT_TRUE(view->supports_batching());
   EXPECT_EQ(view->parallel_granularity(), core::SweepBackend::Granularity::kVertices);
 
   core::ScenarioSpec message_spec = case_spec(kCases[2]);
   const auto message = core::resolve_scenario(message_spec).make_backend();
   EXPECT_EQ(message->name(), "message");
-  EXPECT_TRUE(message->supports_batching());
   EXPECT_EQ(message->parallel_granularity(), core::SweepBackend::Granularity::kTrials);
 }
 
