@@ -31,6 +31,7 @@ struct GoldenCase {
   const char* algorithm;
   const char* family;
   std::size_t n;
+  local::ViewSemantics semantics = local::ViewSemantics::kInducedBall;
 };
 
 const GoldenCase kCases[] = {
@@ -50,6 +51,12 @@ const GoldenCase kCases[] = {
     {"view-cv3-cycle-closed.json", "cv3", "cycle", 9},
     {"view-mis-cycle-closed.json", "mis", "cycle", 12},
     {"view-mis-cycle-open.json", "mis", "cycle", 64},
+    // The ids-only sequential view path beyond the induced cycle: flooding
+    // knowledge on a torus (coverage lags the induced ball by a radius)
+    // and the universe-aware rule on a tree (leaves, branching layers).
+    {"view-largest-id-torus-flooding.json", "largest-id", "torus", 16,
+     local::ViewSemantics::kFloodingKnowledge},
+    {"view-largest-id-ua-random-tree.json", "largest-id-ua", "random-tree", 16},
 };
 
 /// One deterministic full-plan shard artefact per case; every knob pinned
@@ -59,6 +66,7 @@ std::string render_case(const GoldenCase& c) {
   spec.family = graph::parse_family_spec(c.family);
   spec.algorithm = c.algorithm;
   spec.ns = {c.n};
+  spec.semantics = c.semantics;
   spec.seed = 2026;
   spec.schedule.max_trials = 4;
   const core::ResolvedScenario resolved = core::resolve_scenario(spec);
