@@ -43,6 +43,11 @@ double expected_universe_aware_average(std::size_t n) {
               static_cast<double>(x - 2 - k) / static_cast<double>(n - 2 - k);
         }
       }
+      // survive never grows (every factor is <= 1), and rounding is
+      // monotone: once adding it leaves the sum unchanged, so does every
+      // later term. Stopping here is bit-exact and turns the O(n^2) double
+      // loop into one whose inner length is the tail's useful depth.
+      if (expectation + survive == expectation) break;
       expectation += survive;
     }
     total += expectation;

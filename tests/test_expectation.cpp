@@ -3,7 +3,10 @@
 // n and against simulation at large n.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "analysis/expectation.hpp"
 #include "core/scenario.hpp"
@@ -46,6 +49,48 @@ TEST(Expectation, UniverseAwareIsSmallerButSameOrder) {
     const double aware = analysis::expected_universe_aware_average(n);
     EXPECT_LT(aware, plain) << "n = " << n;
     EXPECT_GT(aware, 0.25 * plain) << "same Theta(log n) order, n = " << n;
+  }
+}
+
+/// The universe-aware closed form summed to its full depth, term by term:
+/// the reference for the early exit in expected_universe_aware_average.
+double uncapped_universe_aware_average(std::size_t n) {
+  const std::size_t cover = n / 2;
+  double total = 0.0;
+  for (std::size_t x = 1; x <= n; ++x) {
+    const std::size_t cap_x = std::min(cover, x / 2);
+    double expectation = 0.0;
+    double survive = 1.0;
+    for (std::size_t d = 1; d <= cap_x; ++d) {
+      if (d >= 2) {
+        const std::size_t k = 2 * (d - 2);
+        if (x - 1 < k + 2) {
+          survive = 0.0;
+        } else {
+          survive *= static_cast<double>(x - 1 - k) / static_cast<double>(n - 1 - k);
+          survive *= static_cast<double>(x - 2 - k) / static_cast<double>(n - 2 - k);
+        }
+      }
+      expectation += survive;
+    }
+    total += expectation;
+  }
+  return total / static_cast<double>(n);
+}
+
+TEST(Expectation, UniverseAwareEarlyExitIsBitExact) {
+  // Every n up to 300, then sizes around powers of two up to 4096: the
+  // uncapped reference is cubic in n summed over a dense range.
+  std::vector<std::size_t> ns;
+  for (std::size_t n = 3; n <= 300; ++n) ns.push_back(n);
+  for (const std::size_t n : {511u, 512u, 1000u, 1023u, 1024u, 2048u, 4095u, 4096u}) {
+    ns.push_back(n);
+  }
+  for (const std::size_t n : ns) {
+    const double fast = analysis::expected_universe_aware_average(n);
+    const double reference = uncapped_universe_aware_average(n);
+    EXPECT_EQ(std::memcmp(&fast, &reference, sizeof fast), 0)
+        << "n = " << n << ": " << fast << " vs " << reference;
   }
 }
 
