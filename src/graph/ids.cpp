@@ -10,10 +10,23 @@ namespace avglocal::graph {
 
 namespace {
 
-[[maybe_unused]] bool all_distinct(std::span<const std::uint64_t> ids) {
+bool all_distinct(std::span<const std::uint64_t> ids) {
   std::vector<std::uint64_t> sorted(ids.begin(), ids.end());
   std::sort(sorted.begin(), sorted.end());
   return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+/// The trusted constructors' contract: ids is a permutation of {1..n}.
+/// Checked with one n-bit mark vector instead of a sorted 8n-byte copy, so
+/// debug builds do not inflate the per-assignment footprint that the sweep
+/// memory model is measured against.
+[[maybe_unused]] bool is_permutation_of_1_to_n(std::span<const std::uint64_t> ids) {
+  std::vector<bool> seen(ids.size(), false);
+  for (const std::uint64_t id : ids) {
+    if (id == 0 || id > ids.size() || seen[id - 1]) return false;
+    seen[id - 1] = true;
+  }
+  return true;
 }
 
 }  // namespace
@@ -28,7 +41,7 @@ IdAssignment::IdAssignment(std::vector<std::uint64_t> ids)
 IdAssignment::IdAssignment(support::AlignedVector<std::uint64_t> ids, Trusted)
     : ids_(std::move(ids)) {
   AVGLOCAL_ASSERT(!ids_.empty());
-  AVGLOCAL_ASSERT(all_distinct(ids_));
+  AVGLOCAL_ASSERT(is_permutation_of_1_to_n(ids_));
   AVGLOCAL_ASSERT(support::is_aligned(ids_.data()));
 }
 

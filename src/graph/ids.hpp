@@ -31,7 +31,7 @@ class IdAssignment {
   /// Uniformly random permutation of {1..n}. Constructed through the
   /// trusted path: a Fisher-Yates shuffle of {1..n} is distinct by
   /// construction, so the O(n log n) sort-and-check of the public
-  /// constructor is skipped (debug builds still assert distinctness).
+  /// constructor is skipped (debug builds still assert the permutation).
   /// This is the sweep hot loop: one allocation (the id vector), no sort.
   static IdAssignment random(std::size_t n, support::Xoshiro256& rng);
 
@@ -52,8 +52,9 @@ class IdAssignment {
   struct Trusted {};
 
   /// Trusted path: skips the duplicate check in release builds (a debug
-  /// assert keeps the contract honest). Used by identity/reversed/random,
-  /// whose outputs are permutations by construction.
+  /// assert that ids is a permutation of {1..n}, on an n-bit mark vector,
+  /// keeps the contract honest). Used by identity/reversed/random, whose
+  /// outputs are permutations by construction.
   IdAssignment(support::AlignedVector<std::uint64_t> ids, Trusted);
 
   /// Storage is 64-byte aligned: ids() is the source array of the batched
