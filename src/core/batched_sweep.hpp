@@ -6,10 +6,10 @@
 // (core/sweep_backend.hpp) and core::SweepDriver (core/sweep_driver.hpp)
 // runs them; core::run_scenario (core/scenario.hpp) is the declarative
 // front. The view backend inverts the per-trial loops - vertices outside,
-// assignments inside - so each vertex's ball geometry (BFS order, port
-// structure: identifier-independent) is grown once and replayed per
-// assignment (local::BallReplayer), and all per-trial state is reused
-// across the batch.
+// assignments inside - so each vertex's ball geometry (BFS order, ball size
+// per radius, coverage: identifier-independent, local::BallGeometry) is
+// grown once and shared by every assignment, and all per-trial state is
+// reused across the batch.
 //
 // Everything downstream of the engine is accumulated as exact integers
 // (PointAccumulator), so partial results - per pool worker, or per shard of

@@ -108,9 +108,11 @@ SweepMemoryModel ViewBackend::memory_model(const graph::Graph& g) const noexcept
   // spill id buffer should its ball reach the whole graph (8n). 28n.
   model.bytes_per_trial = n * (8 + 4 + 8 + 8);
   // Per lane: the CSR tables, the canonical edge list (8 bytes per edge),
-  // the epoch-stamped ball scratch (local_of + stamps, 8n) and the
-  // grower's discovery arrays (globals + dist + ports, ~16n + 4 * arcs at
-  // full coverage). The transpose pads its stride to a full cache line
+  // the epoch-stamped ball scratch (local_of + stamps, 8n) and the ball
+  // arrays at full coverage. A lockstep lane's grower holds globals, ids,
+  // dist and ports (~16n + 4 * arcs); an ids-only lane holds only the
+  // geometry's globals and per-radius sizes (at most 8n), so charging the
+  // grower keeps the model an upper bound for both modes. The transpose pads its stride to a full cache line
   // (8 id slots), so up to 7 slots beyond the batch width are resident
   // regardless of width - that worst-case rounding excess (56n) is charged
   // here, keeping predicted_lane_bytes an upper bound at every width

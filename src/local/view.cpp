@@ -98,66 +98,41 @@ std::optional<RingView> try_extract_ring_view(const BallView& view, RingScratch&
   return ring;
 }
 
-BallGrower::BallGrower(const graph::Graph& g, const graph::IdAssignment& ids, graph::Vertex root,
-                       ViewSemantics semantics, Scratch& scratch)
-    : g_(&g), ids_(&ids), semantics_(semantics), scratch_(&scratch) {
-  AVGLOCAL_EXPECTS(ids.size() == g.vertex_count());
+BallGeometry::BallGeometry(const graph::Graph& g, graph::Vertex root, ViewSemantics semantics,
+                           Scratch& scratch)
+    : g_(&g), semantics_(semantics), scratch_(&scratch) {
   AVGLOCAL_EXPECTS(root < g.vertex_count());
   AVGLOCAL_EXPECTS_MSG(scratch.local_of_.size() == g.vertex_count(),
                        "scratch sized for a different graph");
   reset(root);
 }
 
-void BallGrower::reset(graph::Vertex root) {
+void BallGeometry::reset(graph::Vertex root) {
   AVGLOCAL_EXPECTS(root < g_->vertex_count());
   scratch_->bump();  // retires the previous ball's membership in O(1)
   global_of_.clear();
-  frontier_.clear();
-  view_.radius = 0;
-  ids_store_.clear();
-  view_.ids = ids_store_;
-  view_.dist.clear();
-  view_.ports.clear();
+  size_at_.clear();
   unresolved_ports_ = 0;
-  add_vertex(root, 0);
-  frontier_.push_back(root);
-  view_.covers_graph = (unresolved_ports_ == 0);
+  add_vertex(root);
+  size_at_.push_back(1);
+  covers_radius_ = unresolved_ports_ == 0 ? 0 : kNotCovered;
 }
 
-LocalVertex BallGrower::add_vertex(graph::Vertex v, int dist) {
-  const LocalVertex local = support::checked_u32(ids_store_.size());
-  set_local(v, local);
+void BallGeometry::add_vertex(graph::Vertex v) {
+  scratch_->stamp_[v] = scratch_->epoch_;
+  scratch_->local_of_[v] = support::checked_u32(global_of_.size());
   global_of_.push_back(v);
-  ids_store_.push_back(ids_->id_of(v));
-  view_.ids = ids_store_;  // the push may have re-seated the store
-  view_.dist.push_back(dist);
-  view_.ports.add_row(g_->degree(v));
   unresolved_ports_ += g_->degree(v);
-  return local;
 }
 
-void BallGrower::resolve_edge(graph::Vertex a, std::size_t port_a) {
-  const graph::Vertex b = g_->neighbour(a, port_a);
-  const LocalVertex la = local_at(a);
-  const LocalVertex lb = local_at(b);
-  AVGLOCAL_ASSERT(la != kUnknownTarget && lb != kUnknownTarget);
-  const std::size_t pb = g_->mirror_port(a, port_a);
-  if (view_.ports[la][port_a] == kUnknownTarget) {
-    view_.ports[la][port_a] = lb;
-    --unresolved_ports_;
+void BallGeometry::grow() {
+  if (covers_graph()) {
+    size_at_.push_back(size_at_.back());
+    return;
   }
-  if (view_.ports[lb][pb] == kUnknownTarget) {
-    view_.ports[lb][pb] = la;
-    --unresolved_ports_;
-  }
-}
-
-void BallGrower::grow() {
-  view_.ids = ids_store_;  // drop any transient bind_ids binding
-  ++view_.radius;
-  if (view_.covers_graph) return;
-
-  next_frontier_.clear();
+  // The frontier is the previous step's layer: a slice of global_of_,
+  // iterated by index because add_vertex appends behind it.
+  const auto [begin, end] = layer(radius());
   // Prefetch distance along the frontier. The frontier was discovered in
   // the previous grow(), so its CSR rows are cold; hinting a few vertices
   // ahead overlaps the row fetch with the current vertex's scan. Hints
@@ -165,42 +140,118 @@ void BallGrower::grow() {
   constexpr std::size_t kAhead = 8;
   if (semantics_ == ViewSemantics::kInducedBall) {
     // Add the next layer; an edge becomes visible as soon as both endpoints
-    // are in the ball.
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      if (i + kAhead < frontier_.size()) g_->prefetch_offset(frontier_[i + kAhead]);
-      if (i + kAhead / 2 < frontier_.size()) g_->prefetch_row(frontier_[i + kAhead / 2]);
-      const graph::Vertex a = frontier_[i];
-      for (graph::Vertex b : g_->neighbours(a)) {
-        if (local_at(b) == kUnknownTarget) {
-          add_vertex(b, view_.radius);
-          next_frontier_.push_back(b);
-          const auto nbrs = g_->neighbours(b);
-          for (std::size_t pb = 0; pb < nbrs.size(); ++pb) {
-            if (local_at(nbrs[pb]) != kUnknownTarget) resolve_edge(b, pb);
-          }
+    // are in the ball, so adding b resolves both slots of every edge to an
+    // in-ball neighbour c != b and the one slot of each self-loop port.
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i + kAhead < end) g_->prefetch_offset(global_of_[i + kAhead]);
+      if (i + kAhead / 2 < end) g_->prefetch_row(global_of_[i + kAhead / 2]);
+      for (const graph::Vertex b : g_->neighbours(global_of_[i])) {
+        if (local_of(b) != kUnknownTarget) continue;
+        add_vertex(b);
+        for (const graph::Vertex c : g_->neighbours(b)) {
+          if (local_of(c) != kUnknownTarget) unresolved_ports_ -= c == b ? 1 : 2;
         }
       }
     }
   } else {
     // Flooding knowledge: growing to radius r+1 reveals the next vertex
     // layer plus every edge incident to the previous frontier (distance r),
-    // i.e. edges with min endpoint distance <= r.
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      if (i + kAhead < frontier_.size()) g_->prefetch_offset(frontier_[i + kAhead]);
-      if (i + kAhead / 2 < frontier_.size()) g_->prefetch_row(frontier_[i + kAhead / 2]);
-      const graph::Vertex a = frontier_[i];
-      const auto nbrs = g_->neighbours(a);
-      for (std::size_t pa = 0; pa < nbrs.size(); ++pa) {
-        if (local_at(nbrs[pa]) == kUnknownTarget) {
-          add_vertex(nbrs[pa], view_.radius);
-          next_frontier_.push_back(nbrs[pa]);
+    // i.e. edges with min endpoint distance <= r. An arc into the next
+    // layer resolves two slots, an arc inside layer r one (its reverse arc
+    // resolves the other), an arc back into layer r-1 none (resolved a
+    // step earlier).
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i + kAhead < end) g_->prefetch_offset(global_of_[i + kAhead]);
+      if (i + kAhead / 2 < end) g_->prefetch_row(global_of_[i + kAhead / 2]);
+      for (const graph::Vertex b : g_->neighbours(global_of_[i])) {
+        const LocalVertex lb = local_of(b);
+        if (lb == kUnknownTarget) {
+          add_vertex(b);
+          unresolved_ports_ -= 2;
+        } else if (lb >= end) {
+          unresolved_ports_ -= 2;
+        } else if (lb >= begin) {
+          unresolved_ports_ -= 1;
         }
-        resolve_edge(a, pa);
       }
     }
   }
-  std::swap(frontier_, next_frontier_);
-  view_.covers_graph = (unresolved_ports_ == 0);
+  size_at_.push_back(support::checked_u32(global_of_.size()));
+  if (unresolved_ports_ == 0) covers_radius_ = radius();
+}
+
+BallGrower::BallGrower(const graph::Graph& g, const graph::IdAssignment& ids, graph::Vertex root,
+                       ViewSemantics semantics, Scratch& scratch)
+    : g_(&g), ids_(&ids), geometry_(g, root, semantics, scratch) {
+  AVGLOCAL_EXPECTS(ids.size() == g.vertex_count());
+  start_view();
+}
+
+void BallGrower::reset(graph::Vertex root) {
+  geometry_.reset(root);
+  start_view();
+}
+
+void BallGrower::start_view() {
+  view_.radius = 0;
+  ids_store_.clear();
+  view_.dist.clear();
+  view_.ports.clear();
+  add_rows(0, 1, 0);
+  view_.covers_graph = geometry_.covers_graph();
+}
+
+void BallGrower::add_rows(std::size_t begin, std::size_t end, int dist) {
+  const std::span<const graph::Vertex> vertices = geometry_.vertices();
+  for (std::size_t local = begin; local < end; ++local) {
+    const graph::Vertex v = vertices[local];
+    ids_store_.push_back(ids_->id_of(v));
+    view_.dist.push_back(dist);
+    view_.ports.add_row(g_->degree(v));
+  }
+  view_.ids = ids_store_;  // the pushes may have re-seated the store
+}
+
+void BallGrower::grow() {
+  view_.ids = ids_store_;  // drop any transient bind_ids binding
+  const bool covered = geometry_.covers_graph();
+  geometry_.grow();
+  ++view_.radius;
+  if (covered) return;
+
+  const std::size_t radius = geometry_.radius();
+  const auto [begin, end] = geometry_.layer(radius);
+  add_rows(begin, end, view_.radius);
+  const std::span<const graph::Vertex> vertices = geometry_.vertices();
+  // Fill exactly the slots the geometry step resolved (see
+  // BallGeometry::grow), now that every vertex of the new layer has a row.
+  if (geometry_.semantics() == ViewSemantics::kInducedBall) {
+    // Each new vertex fills its own row; a slot of an older vertex is
+    // filled from the new side, since the older row saw no new vertex yet.
+    for (std::size_t lb = begin; lb < end; ++lb) {
+      const graph::Vertex b = vertices[lb];
+      const auto nbrs = g_->neighbours(b);
+      for (std::size_t pb = 0; pb < nbrs.size(); ++pb) {
+        const LocalVertex lc = geometry_.local_of(nbrs[pb]);
+        if (lc == kUnknownTarget) continue;
+        view_.ports[lb][pb] = lc;
+        if (lc < begin) view_.ports[lc][g_->mirror_port(b, pb)] = support::checked_u32(lb);
+      }
+    }
+  } else {
+    // Every arc out of the previous frontier becomes visible, both slots.
+    const auto [frontier_begin, frontier_end] = geometry_.layer(radius - 1);
+    for (std::size_t la = frontier_begin; la < frontier_end; ++la) {
+      const graph::Vertex a = vertices[la];
+      const auto nbrs = g_->neighbours(a);
+      for (std::size_t pa = 0; pa < nbrs.size(); ++pa) {
+        const LocalVertex lb = geometry_.local_of(nbrs[pa]);
+        view_.ports[la][pa] = lb;
+        view_.ports[lb][g_->mirror_port(a, pa)] = support::checked_u32(la);
+      }
+    }
+  }
+  view_.covers_graph = geometry_.covers_graph();
 }
 
 }  // namespace avglocal::local

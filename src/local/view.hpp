@@ -3,7 +3,9 @@
 // The paper's second formulation of the LOCAL model: "every node gathers all
 // the information in a ball around itself and outputs a function of this
 // ball". BallView is that ball, with identifiers, distances, degrees and the
-// visible edges; BallGrower builds it incrementally, radius by radius.
+// visible edges; BallGrower builds it incrementally, radius by radius, on
+// top of BallGeometry - the identifier-free BFS core (discovery order, ball
+// size per radius, coverage) that ids-only consumers use on its own.
 //
 // Two knowledge semantics are supported:
 //  * kInducedBall (the paper's abstraction): at radius r a vertex sees all
@@ -20,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -183,14 +186,26 @@ class RingScratch {
 /// degree.
 std::optional<RingView> try_extract_ring_view(const BallView& view, RingScratch& scratch);
 
-/// Incrementally grows the ball view of `root` one radius step at a time.
+/// The identifier-free part of a growing ball: which vertices it holds, in
+/// which order, how many at each radius, and from which radius on it covers
+/// the graph. Everything here depends on the graph alone - the BFS follows
+/// port order and never consults an identifier - so one geometry serves
+/// every identifier assignment of a batch.
 ///
-/// The grower needs O(ball) memory per instance plus a caller-provided
-/// scratch array of size n that it borrows while alive; this keeps running
-/// one grower per vertex over a large graph allocation-free.
-class BallGrower {
+/// Vertices are numbered in BFS discovery order (root first, then by
+/// non-decreasing distance; within a layer, port order of the layer before),
+/// exactly the local indices of BallView. Coverage is decided without a
+/// port table: the geometry counts the port slots a materialised view would
+/// still hold as kUnknownTarget, and the ball covers the graph once that
+/// count reaches zero.
+///
+/// Like BallGrower, it needs O(ball) memory per instance plus a borrowed
+/// scratch array of size n, and reset() reuses every buffer, so running
+/// one geometry over many roots is allocation-free once the buffers have
+/// grown to the largest ball seen.
+class BallGeometry {
  public:
-  /// Scratch state shared by consecutive growers over the same graph.
+  /// Scratch state shared by consecutive geometries over the same graph.
   ///
   /// Epoch-stamped: local_of_[v] is meaningful only when stamp_[v] equals
   /// the current epoch, so retiring a whole ball is one counter bump
@@ -202,7 +217,7 @@ class BallGrower {
     explicit Scratch(std::size_t n) : local_of_(n, 0), stamp_(n, 0) {}
 
    private:
-    friend class BallGrower;
+    friend class BallGeometry;
 
     /// Starts a fresh epoch, invalidating every entry in O(1). On the
     /// u32 wrap (once per 2^32 resets) the stamps are refilled so a
@@ -219,12 +234,87 @@ class BallGrower {
     std::uint32_t epoch_ = 0;  // first bump() makes it 1 > all stamps
   };
 
+  /// Sentinel of covers_radius() while the ball does not cover the graph.
+  static constexpr std::size_t kNotCovered = std::numeric_limits<std::size_t>::max();
+
+  /// Starts a radius-0 ball at `root`. The scratch must not be shared by
+  /// two live geometries.
+  BallGeometry(const graph::Graph& g, graph::Vertex root, ViewSemantics semantics,
+               Scratch& scratch);
+
+  BallGeometry(const BallGeometry&) = delete;
+  BallGeometry& operator=(const BallGeometry&) = delete;
+
+  /// Re-roots at `root`, back at radius 0, reusing every buffer.
+  void reset(graph::Vertex root);
+
+  /// Grows the ball by one radius step. Once the ball covers the graph only
+  /// the radius advances (the ball size is recorded again).
+  void grow();
+
+  std::size_t radius() const noexcept { return size_at_.size() - 1; }
+
+  ViewSemantics semantics() const noexcept { return semantics_; }
+
+  /// Ball vertices in discovery order (local index -> global vertex).
+  std::span<const graph::Vertex> vertices() const noexcept { return global_of_; }
+
+  /// |ball| at radius r <= radius(): the discovery-order prefix a view of
+  /// radius r holds.
+  std::size_t size_at(std::size_t r) const noexcept { return size_at_[r]; }
+
+  /// Local indices [begin, end) of the vertices at distance exactly r.
+  std::pair<std::size_t, std::size_t> layer(std::size_t r) const noexcept {
+    return {r == 0 ? 0 : size_at_[r - 1], size_at_[r]};
+  }
+
+  /// Port slots whose far end a materialised view of this radius would not
+  /// yet know (kUnknownTarget in BallView::ports). Zero iff covers_graph().
+  std::size_t unresolved_ports() const noexcept { return unresolved_ports_; }
+
+  bool covers_graph() const noexcept { return covers_radius_ != kNotCovered; }
+
+  /// First radius at which the ball covers the graph; kNotCovered until it
+  /// does.
+  std::size_t covers_radius() const noexcept { return covers_radius_; }
+
+  /// Local index of v in the current ball, or kUnknownTarget when v has
+  /// not been added since the last reset (epoch check, no clears).
+  LocalVertex local_of(graph::Vertex v) const noexcept {
+    return scratch_->stamp_[v] == scratch_->epoch_ ? scratch_->local_of_[v] : kUnknownTarget;
+  }
+
+ private:
+  void add_vertex(graph::Vertex v);
+
+  const graph::Graph* g_;
+  ViewSemantics semantics_;
+  Scratch* scratch_;
+  std::vector<graph::Vertex> global_of_;  // local -> global vertex
+  std::vector<graph::vid32> size_at_;     // size_at_[r] = |ball| at radius r
+  std::size_t unresolved_ports_ = 0;
+  std::size_t covers_radius_ = kNotCovered;
+};
+
+/// Incrementally grows the ball view of `root` one radius step at a time:
+/// a BallGeometry plus what a full view adds on top of it - identifiers,
+/// distances and the port table, filled in layer by layer after each
+/// geometry step.
+///
+/// The grower needs O(ball) memory per instance plus a caller-provided
+/// scratch array of size n that it borrows while alive; this keeps running
+/// one grower per vertex over a large graph allocation-free.
+class BallGrower {
+ public:
+  /// Scratch state shared by consecutive growers over the same graph.
+  using Scratch = BallGeometry::Scratch;
+
   /// Ball vertices in discovery order (local index -> global vertex).
   /// Everything about this order - and about dist, ports and coverage - is
-  /// identifier-independent: the BFS follows port order and never consults
-  /// an identifier. The batched view engine exploits this to share one
-  /// grower's geometry across every identifier assignment of a batch.
-  std::span<const graph::Vertex> global_vertices() const noexcept { return global_of_; }
+  /// identifier-independent (see BallGeometry). The batched view engine
+  /// exploits this to share one grower's geometry across every identifier
+  /// assignment of a batch.
+  std::span<const graph::Vertex> global_vertices() const noexcept { return geometry_.vertices(); }
 
   /// Points the view's identifier span at an external array (the batched
   /// engine binds a per-assignment buffer, gathered over global_vertices()
@@ -242,7 +332,7 @@ class BallGrower {
   BallGrower& operator=(const BallGrower&) = delete;
 
   /// Re-roots the grower at `root`, back at radius 0, reusing every buffer
-  /// (view arrays, frontier, scratch). Running one grower over many roots
+  /// (view arrays, geometry, scratch). Running one grower over many roots
   /// through reset() is allocation-free once the buffers have grown to the
   /// largest ball seen - the hot path of sweep measurements.
   void reset(graph::Vertex root);
@@ -254,31 +344,18 @@ class BallGrower {
   void grow();
 
  private:
-  void resolve_edge(graph::Vertex a, std::size_t port_a);
-  LocalVertex add_vertex(graph::Vertex v, int dist);
+  /// Appends identifier, distance and an all-unknown port row for the
+  /// ball vertices [begin, end) at distance `dist`.
+  void add_rows(std::size_t begin, std::size_t end, int dist);
 
-  /// Local index of v in the current ball, or kUnknownTarget when v has
-  /// not been added since the last reset (epoch check, no clears).
-  LocalVertex local_at(graph::Vertex v) const noexcept {
-    return scratch_->stamp_[v] == scratch_->epoch_ ? scratch_->local_of_[v]
-                                                   : kUnknownTarget;
-  }
-
-  void set_local(graph::Vertex v, LocalVertex local) noexcept {
-    scratch_->stamp_[v] = scratch_->epoch_;
-    scratch_->local_of_[v] = local;
-  }
+  /// Clears the view down to the geometry's radius-0 ball.
+  void start_view();
 
   const graph::Graph* g_;
   const graph::IdAssignment* ids_;
-  ViewSemantics semantics_;
-  Scratch* scratch_;
+  BallGeometry geometry_;
   BallView view_;
-  std::vector<std::uint64_t> ids_store_;      // backs view_.ids when not bound
-  std::vector<graph::Vertex> global_of_;      // local -> global vertex
-  std::vector<graph::Vertex> frontier_;       // vertices at distance == radius
-  std::vector<graph::Vertex> next_frontier_;  // reused across grow() calls
-  std::size_t unresolved_ports_ = 0;
+  std::vector<std::uint64_t> ids_store_;  // backs view_.ids when not bound
 };
 
 

@@ -84,46 +84,36 @@ struct TrialSlot {
   }
 };
 
-/// Per-worker state of the batched sweep: one grower whose geometry is
-/// shared by every assignment of the batch, plus whatever the execution
-/// mode needs - TrialSlots for the lockstep mode, a single hot id buffer
-/// and algorithm for the sequential mode. All buffers keep their capacity
-/// across vertices and chunks.
-struct BatchedWorker {
+/// Per-worker state of the lockstep mode: one grower whose geometry is
+/// shared by every assignment of the batch, and one TrialSlot per trial.
+/// All buffers keep their capacity across vertices and chunks.
+struct LockstepWorker {
   BallGrower::Scratch scratch;
   BallGrower grower;
-  std::vector<TrialSlot> slots;        // lockstep: one per trial (slot k = trial k)
-  std::vector<std::uint32_t> active;   // lockstep: slot indices in flight, ascending
-  std::vector<std::uint64_t*> heads;   // lockstep: per-active id buffers during a gather
-  std::vector<std::uint32_t> prefix;   // prefix[r] = |ball| at radius r (current vertex)
-  std::size_t covers_radius = 0;       // first covering radius; SIZE_MAX until known
-  support::AlignedVector<std::uint64_t> seq_ids;  // sequential: the live trial's identifiers
-  BallView seq_view;                   // sequential: ids-only view handed to on_view
-  std::unique_ptr<ViewAlgorithm> seq_algorithm;  // sequential: reused across runs
+  std::vector<TrialSlot> slots;       // one per trial (slot k = trial k)
+  std::vector<std::uint32_t> active;  // slot indices in flight, ascending
+  std::vector<std::uint64_t*> heads;  // per-active id buffers during a gather
 
-  BatchedWorker(const graph::Graph& g, const graph::IdAssignment& geometry_ids,
-                ViewSemantics semantics, std::size_t trials)
+  LockstepWorker(const graph::Graph& g, const graph::IdAssignment& geometry_ids,
+                 ViewSemantics semantics, std::size_t trials)
       : scratch(g.vertex_count()), grower(g, geometry_ids, 0, semantics, scratch), slots(trials) {
     for (std::size_t t = 0; t < trials; ++t) slots[t].trial = checked_u32(t);
   }
+};
 
-  /// Re-roots the shared geometry and its per-radius bookkeeping.
-  void reroot(graph::Vertex v) {
-    grower.reset(v);
-    prefix.clear();
-    prefix.push_back(1);
-    covers_radius = grower.view().covers_graph ? 0 : SIZE_MAX;
-  }
+/// Per-worker state of the sequential mode: the identifier-free geometry
+/// (no ports, distances or identifier copies - the ids_only_view contract
+/// rules out every reader of those), one hot id buffer and one reusable
+/// algorithm instance.
+struct SequentialWorker {
+  BallGeometry::Scratch scratch;
+  BallGeometry geometry;
+  support::AlignedVector<std::uint64_t> ids;  // the live trial's identifiers
+  BallView view;                              // ids-only view handed to on_view
+  std::unique_ptr<ViewAlgorithm> algorithm;   // reused across runs
 
-  /// One geometry step, recording ball size per radius and the covering
-  /// radius - what historical ids-only views are synthesized from.
-  void grow_once() {
-    grower.grow();
-    prefix.push_back(checked_u32(grower.global_vertices().size()));
-    if (covers_radius == SIZE_MAX && grower.view().covers_graph) {
-      covers_radius = static_cast<std::size_t>(grower.view().radius);
-    }
-  }
+  SequentialWorker(const graph::Graph& g, ViewSemantics semantics)
+      : scratch(g.vertex_count()), geometry(g, 0, semantics, scratch) {}
 };
 
 /// Chained phase stopwatch: lap(&BatchPhaseStats::field) adds the time
@@ -149,41 +139,43 @@ struct PhaseTimer {
 
 /// Sequential mode, for algorithms declaring ids_only_view(): one
 /// (vertex, assignment) run at a time, start to finish. The ball geometry
-/// is still grown once per vertex (lazily, to the deepest radius any
-/// assignment needs) and later runs replay it through the recorded
-/// per-radius ball sizes; but the live state - one id buffer, one
-/// algorithm instance, one identifier stream - fits in a few cache lines
-/// no matter how many assignments the batch holds. Views carry exact
-/// identifiers, radius and coverage, and empty dist/ports (the contract).
-void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
+/// is grown once per vertex (lazily, to the deepest radius any assignment
+/// needs) and later runs replay it through its per-radius ball sizes and
+/// covering radius; the live state - one id buffer, one algorithm
+/// instance, one identifier stream - fits in a few cache lines no matter
+/// how many assignments the batch holds. Views carry exact identifiers,
+/// radius and coverage, and empty dist/ports (the contract).
+void run_sequential_range(const graph::Graph& g, SequentialWorker& state,
                           std::span<const graph::IdAssignment> batch,
                           const ViewAlgorithmFactory& factory, const ViewEngineOptions& options,
                           std::size_t worker, graph::Vertex begin, graph::Vertex end,
                           const BatchedResultFn& sink) {
   const std::size_t cap = options.max_radius == 0 ? g.vertex_count() : options.max_radius;
   PhaseTimer timer(options.phase_stats);
+  BallGeometry& geometry = state.geometry;
   for (graph::Vertex v = begin; v < end; ++v) {
-    state.reroot(v);
+    geometry.reset(v);
     for (std::size_t trial = 0; trial < batch.size(); ++trial) {
-      if (state.seq_algorithm == nullptr || !state.seq_algorithm->reset()) {
-        state.seq_algorithm = factory();
-        AVGLOCAL_REQUIRE_MSG(state.seq_algorithm != nullptr,
-                             "view algorithm factory returned null");
+      if (state.algorithm == nullptr || !state.algorithm->reset()) {
+        state.algorithm = factory();
+        AVGLOCAL_REQUIRE_MSG(state.algorithm != nullptr, "view algorithm factory returned null");
       }
-      ViewAlgorithm& algorithm = *state.seq_algorithm;
+      ViewAlgorithm& algorithm = *state.algorithm;
       const std::size_t min_radius = algorithm.min_radius();
       const std::span<const std::uint64_t> sigma = batch[trial].ids();
-      state.seq_ids.resize(1);
-      state.seq_ids[0] = sigma[v];
+      state.ids.resize(1);
+      state.ids[0] = sigma[v];
       std::size_t filled = 1;
       std::size_t rho = 0;
       while (true) {
-        const bool covers = rho >= state.covers_radius;
+        // covers_radius() is kNotCovered until the geometry has grown to
+        // it, and it only ever grows as deep as rho.
+        const bool covers = rho >= geometry.covers_radius();
         if (rho >= min_radius || covers) {
-          state.seq_view.radius = static_cast<int>(rho);
-          state.seq_view.ids = {state.seq_ids.data(), filled};
-          state.seq_view.covers_graph = covers;
-          if (const auto output = algorithm.on_view(state.seq_view)) {
+          state.view.radius = static_cast<int>(rho);
+          state.view.ids = {state.ids.data(), filled};
+          state.view.covers_graph = covers;
+          if (const auto output = algorithm.on_view(state.view)) {
             sink(worker, trial, v, *output, rho);
             timer.lap(&BatchPhaseStats::eval_sec);
             break;
@@ -195,13 +187,12 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
         }
         timer.lap(&BatchPhaseStats::eval_sec);
         ++rho;
-        while (static_cast<std::size_t>(state.grower.view().radius) < rho) state.grow_once();
+        while (geometry.radius() < rho) geometry.grow();
         timer.lap(&BatchPhaseStats::grow_sec);
-        const std::size_t s_rho = state.prefix[rho];
-        const std::span<const graph::Vertex> globals = state.grower.global_vertices();
-        state.seq_ids.resize(s_rho);
-        support::simd::gather_u64(state.seq_ids.data() + filled, sigma.data(),
-                                  globals.data() + filled, s_rho - filled);
+        const std::size_t s_rho = geometry.size_at(rho);
+        state.ids.resize(s_rho);
+        support::simd::gather_u64(state.ids.data() + filled, sigma.data(),
+                                  geometry.vertices().data() + filled, s_rho - filled);
         filled = s_rho;
         timer.lap(&BatchPhaseStats::gather_sec);
       }
@@ -226,7 +217,7 @@ void run_sequential_range(const graph::Graph& g, BatchedWorker& state,
 /// memory-bound. The row gather and the straggler/sequential gathers run
 /// through the SIMD kernels of support/simd.hpp (bit-identical to their
 /// scalar references by construction).
-void run_batched_range(const graph::Graph& g, BatchedWorker& state,
+void run_batched_range(const graph::Graph& g, LockstepWorker& state,
                        std::span<const graph::IdAssignment> batch,
                        std::span<const std::uint64_t> row_ids, std::size_t row_stride,
                        std::size_t trials, const ViewAlgorithmFactory& factory,
@@ -235,7 +226,7 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
   const std::size_t cap = options.max_radius == 0 ? g.vertex_count() : options.max_radius;
   PhaseTimer timer(options.phase_stats);
   for (graph::Vertex v = begin; v < end; ++v) {
-    state.reroot(v);
+    state.grower.reset(v);
     const std::uint64_t* root_row = row_ids.data() + static_cast<std::size_t>(v) * row_stride;
 
     // Evaluates one slot at the current radius: point the shared view's
@@ -288,18 +279,18 @@ void run_batched_range(const graph::Graph& g, BatchedWorker& state,
         throw std::runtime_error("view engine: radius cap exceeded (non-terminating algorithm?)");
       }
       // One shared BFS step ...
-      state.grow_once();
+      state.grower.grow();
       ++radius;
       // ... plus, under the jump, every further layer the stepwise engine
       // would have grown without a single live evaluate. The cap is checked
       // per layer and the jump stops at the first covering radius, so
       // behaviour (including exceptions) matches the stepwise path exactly.
-      while (radius < jump_target && state.covers_radius == SIZE_MAX) {
+      while (radius < jump_target && !state.grower.view().covers_graph) {
         if (radius >= cap) {
           throw std::runtime_error(
               "view engine: radius cap exceeded (non-terminating algorithm?)");
         }
-        state.grow_once();
+        state.grower.grow();
         ++radius;
       }
       timer.lap(&BatchPhaseStats::grow_sec);
@@ -371,7 +362,43 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
     return probe->ids_only_view();
   }();
 
-  // The workers' growers run with this placeholder array in place; geometry
+  // Runs run_range(worker_state, options, worker, begin, end) over every
+  // vertex: serially on one state, or in parallel exactly as run_views,
+  // each pool worker keeping its state (geometry, id buffers, algorithm
+  // instances) alive across its chunks. The sink sees disjoint vertex sets
+  // per worker.
+  const auto sweep = [&](const auto& make_state, const auto& run_range) {
+    support::ThreadPool* pool = options.pool;
+    if (pool == nullptr || pool->size() == 1 || n == 1) {
+      run_range(*make_state(), options, 0, 0, checked_u32(n));
+      return;
+    }
+    std::vector<decltype(make_state())> states(pool->size());
+    // Chunks carry batch.size() runs per vertex, so smaller chunks than the
+    // single-assignment sweep still amortise the scheduling cursor while
+    // balancing the heavy tail.
+    // phase_stats is a serial-path facility: workers would race on the
+    // accumulator, so the parallel sweep runs with it cleared.
+    ViewEngineOptions parallel_options = options;
+    parallel_options.phase_stats = nullptr;
+    const std::size_t grain = std::max<std::size_t>(4, n / (16 * pool->size()));
+    pool->for_range(n, grain, [&](std::size_t worker, std::size_t begin, std::size_t end) {
+      auto& state = states[worker];
+      if (!state) state = make_state();
+      run_range(*state, parallel_options, worker, checked_u32(begin), checked_u32(end));
+    });
+  };
+
+  if (ids_only) {
+    sweep([&] { return std::make_unique<SequentialWorker>(g, options.semantics); },
+          [&](SequentialWorker& state, const ViewEngineOptions& opts, std::size_t worker,
+              graph::Vertex b, graph::Vertex e) {
+            run_sequential_range(g, state, batch, factory, opts, worker, b, e, sink);
+          });
+    return;
+  }
+
+  // The lockstep growers run with this placeholder array in place; geometry
   // never consults it, and the per-assignment arrays are bound around
   // algorithm calls only.
   const graph::IdAssignment geometry_ids = graph::IdAssignment::identity(n);
@@ -383,12 +410,11 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
   // a full cache line of ids, so every row starts 64-byte aligned (the SIMD
   // kernels' invariant; pad columns are never read). Built in vertex tiles
   // through the SIMD transpose kernel so the strided side stays
-  // cache-resident. The sequential mode streams the assignment arrays
-  // directly and skips it.
+  // cache-resident.
   const std::size_t trials = batch.size();
   const std::size_t row_stride = (trials + 7) & ~std::size_t{7};
   support::AlignedVector<std::uint64_t> row_ids;
-  if (!ids_only) {
+  {
     PhaseTimer timer(options.pool == nullptr || options.pool->size() == 1
                          ? options.phase_stats
                          : nullptr);
@@ -405,42 +431,14 @@ void run_views_batched(const graph::Graph& g, std::span<const graph::IdAssignmen
     timer.lap(&BatchPhaseStats::transpose_sec);
   }
 
-  const auto run_range_mode = [&](BatchedWorker& state, const ViewEngineOptions& opts,
-                                  std::size_t worker, graph::Vertex b, graph::Vertex e) {
-    if (ids_only) {
-      run_sequential_range(g, state, batch, factory, opts, worker, b, e, sink);
-    } else {
-      run_batched_range(g, state, batch, row_ids, row_stride, trials, factory, opts, worker, b, e,
-                        sink);
-    }
-  };
-
-  support::ThreadPool* pool = options.pool;
-  if (pool == nullptr || pool->size() == 1 || n == 1) {
-    BatchedWorker state(g, geometry_ids, options.semantics, trials);
-    run_range_mode(state, options, 0, 0, checked_u32(n));
-    return;
-  }
-
-  // Parallel sweep over vertices, exactly as in run_views; each worker keeps
-  // its grower, id buffers and algorithm instances alive across its chunks.
-  // The sink sees disjoint vertex sets per worker.
-  std::vector<std::unique_ptr<BatchedWorker>> states(pool->size());
-  // Chunks carry batch.size() runs per vertex, so smaller chunks than the
-  // single-assignment sweep still amortise the scheduling cursor while
-  // balancing the heavy tail.
-  // phase_stats is a serial-path facility: workers would race on the
-  // accumulator, so the parallel sweep runs with it cleared.
-  ViewEngineOptions parallel_options = options;
-  parallel_options.phase_stats = nullptr;
-  const std::size_t grain = std::max<std::size_t>(4, n / (16 * pool->size()));
-  pool->for_range(n, grain, [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    auto& state = states[worker];
-    if (!state) {
-      state = std::make_unique<BatchedWorker>(g, geometry_ids, options.semantics, trials);
-    }
-    run_range_mode(*state, parallel_options, worker, checked_u32(begin), checked_u32(end));
-  });
+  sweep([&] {
+          return std::make_unique<LockstepWorker>(g, geometry_ids, options.semantics, trials);
+        },
+        [&](LockstepWorker& state, const ViewEngineOptions& opts, std::size_t worker,
+            graph::Vertex b, graph::Vertex e) {
+          run_batched_range(g, state, batch, row_ids, row_stride, trials, factory, opts, worker,
+                            b, e, sink);
+        });
 }
 
 RunResult run_views(const graph::Graph& g, const graph::IdAssignment& ids,

@@ -136,7 +136,9 @@ using BatchedResultFn = std::function<void(std::size_t worker, std::size_t trial
 
 /// Runs the algorithm on every vertex under every id-assignment of `batch`
 /// in one pass, vertices as the outer loop: each vertex's ball geometry is
-/// grown once and replayed per assignment (local::BallReplayer), so the
+/// grown once and shared by every assignment - a full BallGrower in
+/// lockstep mode, a bare BallGeometry (discovery order, ball size per
+/// radius, covering radius) for ids_only_view() algorithms - so the
 /// per-trial cost is an identifier gather plus the algorithm itself -
 /// rather than a full BFS regrowth as in per-trial run_views calls. Every
 /// assignment must match the graph. Results stream through `sink` instead of

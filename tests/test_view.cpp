@@ -1,11 +1,14 @@
 // Tests of the ball-view machinery: BallGrower under both knowledge
-// semantics, ring view extraction, and the view engine loop.
+// semantics, the identifier-free BallGeometry core against it, ring view
+// extraction, and the view engine loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "graph/family_registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/ids.hpp"
 #include "local/view.hpp"
@@ -15,6 +18,7 @@
 namespace {
 
 using namespace avglocal;
+using local::BallGeometry;
 using local::BallGrower;
 using local::BallView;
 using local::ViewSemantics;
@@ -364,6 +368,120 @@ TEST(BallGrower, ResetReRootsAndMatchesFreshGrower) {
       }
     }
   }
+}
+
+/// Discovery order of a plain queue BFS from `root` following port order,
+/// with each vertex's distance: the order both ball builders must produce.
+std::pair<std::vector<graph::Vertex>, std::vector<std::size_t>> naive_bfs(const graph::Graph& g,
+                                                                          graph::Vertex root) {
+  std::vector<std::size_t> dist(g.vertex_count(), SIZE_MAX);
+  std::vector<graph::Vertex> order = {root};
+  dist[root] = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (const graph::Vertex b : g.neighbours(order[i])) {
+      if (dist[b] != SIZE_MAX) continue;
+      dist[b] = dist[order[i]] + 1;
+      order.push_back(b);
+    }
+  }
+  return {order, dist};
+}
+
+/// First radius at which every edge of root's component is visible: the
+/// eccentricity for induced balls; under flooding one more when an edge
+/// joins two vertices of the outermost layer (such an edge needs an
+/// endpoint at distance <= r-1).
+std::size_t naive_covering_radius(const graph::Graph& g, const std::vector<graph::Vertex>& order,
+                                  const std::vector<std::size_t>& dist, ViewSemantics semantics) {
+  const std::size_t ecc = dist[order.back()];
+  if (semantics == ViewSemantics::kInducedBall) return ecc;
+  for (const graph::Vertex a : order) {
+    if (dist[a] != ecc) continue;
+    for (const graph::Vertex b : g.neighbours(a)) {
+      if (dist[b] == ecc) return ecc + 1;
+    }
+  }
+  return ecc;
+}
+
+std::size_t unknown_slots(const local::PortTable& ports) {
+  std::size_t unknown = 0;
+  for (std::size_t row = 0; row < ports.rows(); ++row) {
+    for (const local::LocalVertex target : ports[row]) unknown += target == local::kUnknownTarget;
+  }
+  return unknown;
+}
+
+TEST(BallGeometry, MatchesMaterialisingGrowerOnEveryFamily) {
+  const auto& registry = graph::FamilyRegistry::global();
+  for (const std::string& name : registry.names()) {
+    for (const std::size_t requested : {7u, 20u}) {
+      const graph::FamilySpec spec{name, {}};
+      support::Xoshiro256 rng(requested * 31 + name.size());
+      const graph::Graph g = registry.build(spec, requested, rng);
+      const std::size_t n = g.vertex_count();
+      const auto ids = graph::IdAssignment::random(n, rng);
+      for (const ViewSemantics semantics :
+           {ViewSemantics::kInducedBall, ViewSemantics::kFloodingKnowledge}) {
+        BallGeometry::Scratch geometry_scratch(n);
+        BallGeometry geometry(g, 0, semantics, geometry_scratch);
+        BallGrower::Scratch grower_scratch(n);
+        BallGrower grower(g, ids, 0, semantics, grower_scratch);
+        for (const graph::Vertex root :
+             {graph::Vertex{0}, static_cast<graph::Vertex>(n / 2),
+              static_cast<graph::Vertex>(n - 1), static_cast<graph::Vertex>(rng.below(n))}) {
+          const std::string where = name + " n=" + std::to_string(n) + " " +
+                                    local::to_string(semantics) +
+                                    " root=" + std::to_string(root);
+          geometry.reset(root);
+          grower.reset(root);
+          const auto [order, dist] = naive_bfs(g, root);
+          const std::size_t cover = naive_covering_radius(g, order, dist, semantics);
+          for (std::size_t r = 0; r <= cover + 1; ++r) {
+            const BallView& view = grower.view();
+            ASSERT_EQ(geometry.radius(), r) << where;
+            ASSERT_EQ(static_cast<std::size_t>(view.radius), r) << where;
+            // Same discovery order as the grower and as a plain BFS.
+            const auto expected_size = static_cast<std::size_t>(
+                std::count_if(dist.begin(), dist.end(), [r](std::size_t d) { return d <= r; }));
+            ASSERT_EQ(geometry.size_at(r), expected_size) << where << " r=" << r;
+            ASSERT_EQ(view.size(), expected_size) << where << " r=" << r;
+            const auto vertices = geometry.vertices();
+            ASSERT_TRUE(std::equal(vertices.begin(), vertices.end(), order.begin(),
+                                   order.begin() + static_cast<std::ptrdiff_t>(expected_size)))
+                << where << " r=" << r;
+            const auto globals = grower.global_vertices();
+            ASSERT_TRUE(std::equal(vertices.begin(), vertices.end(), globals.begin(),
+                                   globals.end()))
+                << where << " r=" << r;
+            // The geometry's count is exactly the materialised view's
+            // unknown port slots, and coverage follows from it.
+            EXPECT_EQ(geometry.unresolved_ports(), unknown_slots(view.ports))
+                << where << " r=" << r;
+            EXPECT_EQ(geometry.covers_graph(), r >= cover) << where << " r=" << r;
+            EXPECT_EQ(view.covers_graph, r >= cover) << where << " r=" << r;
+            geometry.grow();
+            grower.grow();
+          }
+          EXPECT_EQ(geometry.covers_radius(), cover) << where;
+          // Past coverage only the radius moves.
+          EXPECT_EQ(geometry.size_at(cover + 2), n) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(BallGeometry, NotCoveredUntilGrownToCoverage) {
+  const auto g = graph::make_cycle(9);
+  BallGeometry::Scratch scratch(9);
+  BallGeometry geometry(g, 4, ViewSemantics::kInducedBall, scratch);
+  EXPECT_EQ(geometry.covers_radius(), BallGeometry::kNotCovered);
+  for (int step = 0; step < 3; ++step) geometry.grow();
+  EXPECT_FALSE(geometry.covers_graph());
+  geometry.grow();  // radius 4 = ceil((9-1)/2): the ball closes
+  EXPECT_EQ(geometry.covers_radius(), 4u);
+  EXPECT_EQ(geometry.layer(4), (std::pair<std::size_t, std::size_t>{7, 9}));
 }
 
 }  // namespace
