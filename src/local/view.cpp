@@ -118,14 +118,21 @@ void BallGeometry::reset(graph::Vertex root) {
   covers_radius_ = unresolved_ports_ == 0 ? 0 : kNotCovered;
 }
 
-void BallGeometry::add_vertex(graph::Vertex v) {
+LocalVertex BallGeometry::add_vertex(graph::Vertex v) {
+  const LocalVertex local = support::checked_u32(global_of_.size());
   scratch_->stamp_[v] = scratch_->epoch_;
-  scratch_->local_of_[v] = support::checked_u32(global_of_.size());
+  scratch_->local_of_[v] = local;
   global_of_.push_back(v);
   unresolved_ports_ += g_->degree(v);
+  return local;
 }
 
 void BallGeometry::grow() {
+  step([](graph::Vertex) {}, [](LocalVertex, graph::Vertex, std::size_t, LocalVertex) {});
+}
+
+template <typename OnAdd, typename OnResolve>
+void BallGeometry::step(OnAdd&& on_add, OnResolve&& on_resolve) {
   if (covers_graph()) {
     size_at_.push_back(size_at_.back());
     return;
@@ -134,7 +141,7 @@ void BallGeometry::grow() {
   // iterated by index because add_vertex appends behind it.
   const auto [begin, end] = layer(radius());
   // Prefetch distance along the frontier. The frontier was discovered in
-  // the previous grow(), so its CSR rows are cold; hinting a few vertices
+  // the previous step, so its CSR rows are cold; hinting a few vertices
   // ahead overlaps the row fetch with the current vertex's scan. Hints
   // only - the traversal order and results are unchanged.
   constexpr std::size_t kAhead = 8;
@@ -147,9 +154,14 @@ void BallGeometry::grow() {
       if (i + kAhead / 2 < end) g_->prefetch_row(global_of_[i + kAhead / 2]);
       for (const graph::Vertex b : g_->neighbours(global_of_[i])) {
         if (local_of(b) != kUnknownTarget) continue;
-        add_vertex(b);
-        for (const graph::Vertex c : g_->neighbours(b)) {
-          if (local_of(c) != kUnknownTarget) unresolved_ports_ -= c == b ? 1 : 2;
+        const LocalVertex lb = add_vertex(b);
+        on_add(b);
+        const auto nbrs = g_->neighbours(b);
+        for (std::size_t pb = 0; pb < nbrs.size(); ++pb) {
+          const LocalVertex lc = local_of(nbrs[pb]);
+          if (lc == kUnknownTarget) continue;
+          unresolved_ports_ -= nbrs[pb] == b ? 1 : 2;
+          on_resolve(lb, b, pb, lc);
         }
       }
     }
@@ -163,16 +175,20 @@ void BallGeometry::grow() {
     for (std::size_t i = begin; i < end; ++i) {
       if (i + kAhead < end) g_->prefetch_offset(global_of_[i + kAhead]);
       if (i + kAhead / 2 < end) g_->prefetch_row(global_of_[i + kAhead / 2]);
-      for (const graph::Vertex b : g_->neighbours(global_of_[i])) {
-        const LocalVertex lb = local_of(b);
+      const graph::Vertex a = global_of_[i];
+      const auto nbrs = g_->neighbours(a);
+      for (std::size_t pa = 0; pa < nbrs.size(); ++pa) {
+        LocalVertex lb = local_of(nbrs[pa]);
         if (lb == kUnknownTarget) {
-          add_vertex(b);
+          lb = add_vertex(nbrs[pa]);
+          on_add(nbrs[pa]);
           unresolved_ports_ -= 2;
         } else if (lb >= end) {
           unresolved_ports_ -= 2;
         } else if (lb >= begin) {
           unresolved_ports_ -= 1;
         }
+        on_resolve(support::checked_u32(i), a, pa, lb);
       }
     }
   }
@@ -197,60 +213,28 @@ void BallGrower::start_view() {
   ids_store_.clear();
   view_.dist.clear();
   view_.ports.clear();
-  add_rows(0, 1, 0);
+  add_row(geometry_.vertices()[0], 0);
+  view_.ids = ids_store_;
   view_.covers_graph = geometry_.covers_graph();
 }
 
-void BallGrower::add_rows(std::size_t begin, std::size_t end, int dist) {
-  const std::span<const graph::Vertex> vertices = geometry_.vertices();
-  for (std::size_t local = begin; local < end; ++local) {
-    const graph::Vertex v = vertices[local];
-    ids_store_.push_back(ids_->id_of(v));
-    view_.dist.push_back(dist);
-    view_.ports.add_row(g_->degree(v));
-  }
-  view_.ids = ids_store_;  // the pushes may have re-seated the store
+void BallGrower::add_row(graph::Vertex v, int dist) {
+  ids_store_.push_back(ids_->id_of(v));
+  view_.dist.push_back(dist);
+  view_.ports.add_row(g_->degree(v));
 }
 
 void BallGrower::grow() {
-  view_.ids = ids_store_;  // drop any transient bind_ids binding
-  const bool covered = geometry_.covers_graph();
-  geometry_.grow();
   ++view_.radius;
-  if (covered) return;
-
-  const std::size_t radius = geometry_.radius();
-  const auto [begin, end] = geometry_.layer(radius);
-  add_rows(begin, end, view_.radius);
-  const std::span<const graph::Vertex> vertices = geometry_.vertices();
-  // Fill exactly the slots the geometry step resolved (see
-  // BallGeometry::grow), now that every vertex of the new layer has a row.
-  if (geometry_.semantics() == ViewSemantics::kInducedBall) {
-    // Each new vertex fills its own row; a slot of an older vertex is
-    // filled from the new side, since the older row saw no new vertex yet.
-    for (std::size_t lb = begin; lb < end; ++lb) {
-      const graph::Vertex b = vertices[lb];
-      const auto nbrs = g_->neighbours(b);
-      for (std::size_t pb = 0; pb < nbrs.size(); ++pb) {
-        const LocalVertex lc = geometry_.local_of(nbrs[pb]);
-        if (lc == kUnknownTarget) continue;
-        view_.ports[lb][pb] = lc;
-        if (lc < begin) view_.ports[lc][g_->mirror_port(b, pb)] = support::checked_u32(lb);
-      }
-    }
-  } else {
-    // Every arc out of the previous frontier becomes visible, both slots.
-    const auto [frontier_begin, frontier_end] = geometry_.layer(radius - 1);
-    for (std::size_t la = frontier_begin; la < frontier_end; ++la) {
-      const graph::Vertex a = vertices[la];
-      const auto nbrs = g_->neighbours(a);
-      for (std::size_t pa = 0; pa < nbrs.size(); ++pa) {
-        const LocalVertex lb = geometry_.local_of(nbrs[pa]);
-        view_.ports[la][pa] = lb;
-        view_.ports[lb][g_->mirror_port(a, pa)] = support::checked_u32(la);
-      }
-    }
-  }
+  // Rows are appended as the step discovers vertices, so a resolved arc
+  // always finds both of its rows; re-setting an already visible slot
+  // (an arc back into an earlier layer) writes the same value again.
+  geometry_.step([this](graph::Vertex v) { add_row(v, view_.radius); },
+                 [this](LocalVertex la, graph::Vertex a, std::size_t pa, LocalVertex lb) {
+                   view_.ports[la][pa] = lb;
+                   view_.ports[lb][g_->mirror_port(a, pa)] = la;
+                 });
+  view_.ids = ids_store_;  // drops any bind_ids binding; pushes may re-seat
   view_.covers_graph = geometry_.covers_graph();
 }
 

@@ -285,7 +285,17 @@ class BallGeometry {
   }
 
  private:
-  void add_vertex(graph::Vertex v);
+  friend class BallGrower;
+
+  /// One radius step, reporting what it discovers: on_add(v) after vertex v
+  /// joins the ball (its local index is the previous size), and
+  /// on_resolve(la, a, pa, lb) for each arc (a, pa) whose port slots the
+  /// step makes visible (la = local index of a, lb of its far end). grow()
+  /// passes no-ops; BallGrower fills its view from them in the same pass.
+  template <typename OnAdd, typename OnResolve>
+  void step(OnAdd&& on_add, OnResolve&& on_resolve);
+
+  LocalVertex add_vertex(graph::Vertex v);
 
   const graph::Graph* g_;
   ViewSemantics semantics_;
@@ -298,8 +308,8 @@ class BallGeometry {
 
 /// Incrementally grows the ball view of `root` one radius step at a time:
 /// a BallGeometry plus what a full view adds on top of it - identifiers,
-/// distances and the port table, filled in layer by layer after each
-/// geometry step.
+/// distances and the port table, filled in from each geometry step as it
+/// discovers vertices and arcs.
 ///
 /// The grower needs O(ball) memory per instance plus a caller-provided
 /// scratch array of size n that it borrows while alive; this keeps running
@@ -344,9 +354,8 @@ class BallGrower {
   void grow();
 
  private:
-  /// Appends identifier, distance and an all-unknown port row for the
-  /// ball vertices [begin, end) at distance `dist`.
-  void add_rows(std::size_t begin, std::size_t end, int dist);
+  /// Appends identifier, distance and an all-unknown port row for v.
+  void add_row(graph::Vertex v, int dist);
 
   /// Clears the view down to the geometry's radius-0 ball.
   void start_view();
