@@ -254,8 +254,6 @@ class BallGeometry {
 
   std::size_t radius() const noexcept { return size_at_.size() - 1; }
 
-  ViewSemantics semantics() const noexcept { return semantics_; }
-
   /// Ball vertices in discovery order (local index -> global vertex).
   std::span<const graph::Vertex> vertices() const noexcept { return global_of_; }
 
@@ -278,20 +276,22 @@ class BallGeometry {
   /// does.
   std::size_t covers_radius() const noexcept { return covers_radius_; }
 
+ private:
+  friend class BallGrower;
+
   /// Local index of v in the current ball, or kUnknownTarget when v has
   /// not been added since the last reset (epoch check, no clears).
   LocalVertex local_of(graph::Vertex v) const noexcept {
     return scratch_->stamp_[v] == scratch_->epoch_ ? scratch_->local_of_[v] : kUnknownTarget;
   }
 
- private:
-  friend class BallGrower;
-
   /// One radius step, reporting what it discovers: on_add(v) after vertex v
   /// joins the ball (its local index is the previous size), and
-  /// on_resolve(la, a, pa, lb) for each arc (a, pa) whose port slots the
-  /// step makes visible (la = local index of a, lb of its far end). grow()
-  /// passes no-ops; BallGrower fills its view from them in the same pass.
+  /// on_resolve(la, a, pa, lb) for every arc (a, pa) the step scans that is
+  /// visible once it is done (la = local index of a, lb of its far end;
+  /// under flooding this re-reports arcs back into the layer before, whose
+  /// slots already hold the same values). grow() passes no-ops; BallGrower
+  /// fills its view from them in the same pass.
   template <typename OnAdd, typename OnResolve>
   void step(OnAdd&& on_add, OnResolve&& on_resolve);
 

@@ -56,8 +56,8 @@ class ViewAlgorithm {
 
   /// Declares that on_view reads only `radius`, `ids`, `size()` and
   /// `covers_graph` - never `dist`, `ports` or anything derived from them
-  /// (degree_of, try_extract_ring_view, ...). The batched engine finishes
-  /// thinned-out batches of such algorithms on a sequential fast path whose
+  /// (degree_of, try_extract_ring_view, ...). The batched engine runs such
+  /// algorithms in its sequential mode over a bare BallGeometry; their
   /// views carry exact identifiers, radius and coverage but empty
   /// dist/ports. Opt-in and a hard contract: an implementation that reads
   /// edge or distance data after returning true sees empty arrays. The
