@@ -4,26 +4,17 @@
 #include <utility>
 #include <vector>
 
-#include "core/sweep_driver.hpp"
-#include "graph/graph.hpp"
-#include "support/assert.hpp"
-
 namespace avglocal::core {
 
-/// Everything resident for one workload identity. The members own each
-/// other bottom-up and are declared in dependency order (graphs before
-/// points: a prepared SweepDriver::Point pins its graph's address, and
-/// `graphs` is never touched again after the points are prepared, so the
-/// vector's element addresses stay put for the entry's lifetime).
+/// Everything resident for one workload identity: exact integers and the
+/// report bytes finalized from them - no graph, backend or engine state.
+/// An entry exists only once its first computation (or offer) succeeded,
+/// so `partials` always holds one accumulator per sweep point.
 struct ResultCache::Entry {
-  ResolvedScenario resolved;  ///< from the request that created the entry
-  std::unique_ptr<SweepBackend> backend;
-  std::unique_ptr<SweepDriver> driver;
-  std::vector<graph::Graph> graphs;
-  std::vector<SweepDriver::Point> points;  ///< prepared state, one per size
-  /// Exact-integer partials covering trials [0, E) per point. E only ever
-  /// grows (via PointAccumulator::append), so everything served from here
-  /// is a prefix of the one canonical trial stream.
+  /// Exact-integer partials covering trials [0, E) per point, E equal
+  /// across points. E only ever grows (via PointAccumulator::append), so
+  /// everything served from here is a prefix of the one canonical trial
+  /// stream.
   std::vector<PointAccumulator> partials;
   /// Finalized report bytes keyed by the full canonical scenario JSON
   /// (identity plus schedule - the schedule appears in the report, so two
@@ -31,45 +22,33 @@ struct ResultCache::Entry {
   std::map<std::string, std::string> reports;
 };
 
+namespace {
+
+/// Bytes in an accumulator's per-trial, per-vertex and histogram words.
+std::uint64_t accumulator_bytes(const PointAccumulator& acc) {
+  return sizeof(std::uint64_t) *
+         (acc.trial_sum.size() + acc.trial_max.size() + acc.node_sum.size() +
+          acc.trial_edge_sum.size() + acc.histogram.counts().size() +
+          acc.edge_histogram.counts().size());
+}
+
+}  // namespace
+
 ResultCache::ResultCache(const ResultCacheOptions& options)
     : options_(options), pool_(std::make_unique<support::ThreadPool>(options.threads)) {}
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Entry& ResultCache::entry_for(const std::string& key, ResolvedScenario&& resolved) {
-  const auto found = entries_.find(key);
-  if (found != entries_.end()) return *found->second;
-
-  auto entry = std::make_unique<Entry>();
-  entry->resolved = std::move(resolved);
-  entry->backend = entry->resolved.make_backend();
-
-  BatchedSweepOptions base = entry->resolved.sweep_options();
-  base.threads = options_.threads;
-  base.batch_size = options_.batch_size;
-  base.pool = pool_.get();
-  entry->driver = std::make_unique<SweepDriver>(*entry->backend, base, pool_.get());
-
-  const std::vector<std::size_t>& ns = entry->resolved.spec.ns;
-  entry->graphs.reserve(ns.size());
-  for (const std::size_t n : ns) {
-    entry->graphs.push_back(entry->resolved.graphs(n));
-    AVGLOCAL_REQUIRE_MSG(entry->graphs.back().vertex_count() == n,
-                         "graph factory size mismatch");
-  }
-  // All graphs built; from here their addresses are stable to pin.
-  entry->points.reserve(ns.size());
-  for (std::size_t index = 0; index < ns.size(); ++index) {
-    entry->points.push_back(entry->driver->prepare(entry->graphs[index], index));
-  }
-
-  Entry& ref = *entry;
-  entries_.emplace(key, std::move(entry));
-  return ref;
+ResultCache::Entry& ResultCache::insert_entry(const std::string& key,
+                                              std::vector<PointAccumulator> partials) {
+  Entry& entry = *entries_.emplace(key, std::make_unique<Entry>()).first->second;
+  entry.partials = std::move(partials);
+  stats_.entries = entries_.size();
+  return entry;
 }
 
 ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
-  ResolvedScenario resolved = resolve_scenario(spec);
+  const ResolvedScenario resolved = resolve_scenario(spec);
   if (resolved.spec.schedule.adaptive()) {
     throw std::invalid_argument(
         "result cache: adaptive schedules are not cacheable (their trial count "
@@ -79,70 +58,77 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   // The request's canonical spec - the entry may have been created by a
   // request with a different schedule, so the report and the half-width
   // must come from this one.
-  const ScenarioSpec request_spec = resolved.spec;
+  const ScenarioSpec& request_spec = resolved.spec;
   const TrialSchedule& schedule = request_spec.schedule;
   const std::size_t requested = schedule.max_trials;
 
   ResultCacheOutcome outcome;
   outcome.key = scenario_cache_key(request_spec);
+  const std::string memo_key = scenario_to_json(request_spec);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.requests;
-  Entry& entry = entry_for(outcome.key, std::move(resolved));
-  stats_.entries = entries_.size();
-
-  const std::string memo_key = scenario_to_json(request_spec);
-  const auto memo = entry.reports.find(memo_key);
-  if (memo != entry.reports.end()) {
-    ++stats_.full_hits;
-    outcome.report = memo->second;
-    outcome.warm = true;
-    return outcome;
+  const auto found = entries_.find(outcome.key);
+  Entry* entry = found == entries_.end() ? nullptr : found->second.get();
+  if (entry != nullptr) {
+    const auto memo = entry->reports.find(memo_key);
+    if (memo != entry->reports.end()) {
+      ++stats_.full_hits;
+      outcome.report = memo->second;
+      outcome.warm = true;
+      return outcome;
+    }
   }
 
-  const std::size_t cached_before =
-      entry.partials.empty() ? 0 : entry.partials.front().trial_count();
+  // Every computation builds its graphs and engines for this request only
+  // and releases them on return; only the exact integers stay. Nothing is
+  // mutated until it succeeded, so a request that throws leaves the cache
+  // as it found it.
+  const std::size_t cached = entry == nullptr ? 0 : entry->partials.front().trial_count();
+  BatchedSweepOptions options = resolved.sweep_options(requested);
+  options.threads = options_.threads;
+  options.batch_size = options_.batch_size;
+  options.pool = pool_.get();
+  std::vector<PointAccumulator> fresh;
+  std::uint64_t computed = 0;
+  if (cached != requested) {
+    // An extension runs only the missing tail [cached, requested). A
+    // request shorter than the cache recomputes [0, requested): histograms
+    // and node sums aggregate over all trials and cannot be truncated, and
+    // the cached partial stays untouched for future longer requests.
+    const std::size_t begin = cached < requested ? cached : 0;
+    fresh = run_scenario_shard(resolved, options,
+                               SweepShard{0, request_spec.ns.size(), begin, requested});
+    computed = static_cast<std::uint64_t>(requested - begin) * fresh.size();
+  }
+
+  const std::vector<PointAccumulator>* finals = &fresh;
+  if (entry == nullptr) {
+    entry = &insert_entry(outcome.key, std::move(fresh));
+    finals = &entry->partials;
+  } else if (cached <= requested) {
+    // The heart of the cache: append() verifies the ranges abut, so the
+    // extended partial is bit-identical to a monolithic `requested`-trial
+    // run.
+    for (std::size_t index = 0; index < fresh.size(); ++index) {
+      entry->partials[index].append(std::move(fresh[index]));
+    }
+    finals = &entry->partials;
+  }
 
   std::vector<ScenarioPoint> points;
-  points.reserve(request_spec.ns.size());
-  std::uint64_t computed = 0;
-  for (std::size_t index = 0; index < request_spec.ns.size(); ++index) {
-    if (index >= entry.partials.size()) {
-      // Nothing cached for this point yet: run the full range and keep it.
-      entry.partials.push_back(entry.driver->run_trials(entry.points[index], 0, requested));
-      computed += requested;
-    } else if (entry.partials[index].trial_count() < requested) {
-      // The heart of the cache: compute only the missing tail and extend
-      // the exact-integer partial. append() verifies the ranges abut, so
-      // the result is bit-identical to a monolithic `requested`-trial run.
-      const std::size_t have = entry.partials[index].trial_count();
-      entry.partials[index].append(
-          entry.driver->run_trials(entry.points[index], have, requested));
-      computed += requested - have;
-    }
-
+  points.reserve(finals->size());
+  for (const PointAccumulator& acc : *finals) {
     ScenarioPoint point;
     point.converged = true;  // fixed schedules always run to their count
-    if (entry.partials[index].trial_count() == requested) {
-      point.point =
-          finalize_point(entry.partials[index], entry.resolved.sweep_options(requested));
-    } else {
-      // Cached range is longer than the request. The aggregated fields
-      // (histograms, node sums) cannot be truncated, so recompute [0,
-      // requested) on the resident prepared point - the cached partial
-      // stays untouched for future longer requests.
-      const PointAccumulator fresh =
-          entry.driver->run_trials(entry.points[index], 0, requested);
-      computed += requested;
-      point.point = finalize_point(fresh, entry.resolved.sweep_options(requested));
-    }
+    point.point = finalize_point(acc, options);
     point.half_width = schedule.half_width(point.point.avg_sd, requested);
     points.push_back(std::move(point));
   }
 
   if (computed == 0) {
     ++stats_.full_hits;
-  } else if (cached_before == 0 || cached_before >= requested) {
+  } else if (cached == 0 || cached >= requested) {
     ++stats_.misses;
   } else {
     ++stats_.extensions;
@@ -152,16 +138,16 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   outcome.report = sweep_report_json(request_spec, points);
   outcome.trials_computed = computed;
   outcome.warm = computed == 0;
-  entry.reports.emplace(memo_key, outcome.report);
+  entry->reports.emplace(memo_key, outcome.report);
   return outcome;
 }
 
 bool ResultCache::offer_partials(const ScenarioSpec& spec,
                                  std::vector<PointAccumulator> partials) {
-  ResolvedScenario resolved = resolve_scenario(spec);
+  const ResolvedScenario resolved = resolve_scenario(spec);
   if (resolved.spec.schedule.adaptive()) return false;
   const std::string key = scenario_cache_key(resolved.spec);
-  const std::vector<std::size_t> ns = resolved.spec.ns;
+  const std::vector<std::size_t>& ns = resolved.spec.ns;
 
   // Shape check before anything is trusted: one accumulator per point,
   // each starting at trial 0, all covering the same range - the exact
@@ -177,18 +163,25 @@ bool ResultCache::offer_partials(const ScenarioSpec& spec,
   }
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entry_for(key, std::move(resolved));
-  stats_.entries = entries_.size();
-  const std::size_t cached =
-      entry.partials.empty() ? 0 : entry.partials.front().trial_count();
-  if (covered <= cached) return false;  // nothing the cache doesn't have
+  const auto found = entries_.find(key);
+  if (found == entries_.end()) {
+    insert_entry(key, std::move(partials));
+    return true;
+  }
+  Entry& entry = *found->second;
+  if (covered <= entry.partials.front().trial_count()) return false;  // nothing new
   entry.partials = std::move(partials);
   return true;
 }
 
 ResultCacheStats ResultCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  ResultCacheStats stats = stats_;
+  for (const auto& [key, entry] : entries_) {
+    for (const PointAccumulator& acc : entry->partials) stats.partial_bytes += accumulator_bytes(acc);
+    for (const auto& [schedule, report] : entry->reports) stats.report_bytes += report.size();
+  }
+  return stats;
 }
 
 std::size_t ResultCache::entry_count() const {

@@ -1,6 +1,6 @@
-// The content-addressed result cache behind sweep-as-a-service: resident
-// engines plus memoised exact-integer partials, so repeated and extended
-// sweep requests pay only for trials nobody has run yet.
+// The content-addressed result cache behind sweep-as-a-service: memoised
+// exact-integer partials, so repeated and extended sweep requests pay only
+// for trials nobody has run yet.
 //
 // Identity and the extension trick. A workload's cache key is
 // scenario_cache_key(resolved spec) - the canonical scenario block minus
@@ -8,19 +8,21 @@
 // computes; the schedule only changes how many trials are requested. Each
 // cache entry therefore holds, per sweep point, one PointAccumulator
 // covering trials [0, E): exact integers, so a request for T > E trials
-// runs only [E, T) through the entry's resident SweepDriver::Point and
-// appends - and the PointAccumulator::append contract (core/
-// batched_sweep.hpp) makes the result bit-identical to a monolithic
+// runs only [E, T) and appends - and the PointAccumulator::append contract
+// (core/batched_sweep.hpp) makes the result bit-identical to a monolithic
 // T-trial sweep. Floats appear only at finalize_point, in global trial
 // order, exactly like every other execution topology.
 //
-// What stays resident. An entry keeps the resolved scenario, its backend,
-// one SweepDriver, the graphs and the prepared per-point states (engine
-// state, topology tables, arenas) alive across requests, so even a
-// cache-missing request skips graph construction and engine setup after
-// the first. Finalized report documents are additionally memoised per
-// full schedule (the schedule appears in the report bytes), making an
-// exact repeat a pure string copy: zero sweep trials, zero finalize work.
+// What stays resident. An entry keeps only the partials and the finalized
+// report documents, memoised per full schedule (the schedule appears in
+// the report bytes), so an exact repeat is a pure string copy: zero sweep
+// trials, zero finalize work. Graphs and engines are not kept: a miss, an
+// extension or a shorter-than-cached recompute runs run_scenario_shard on
+// the cache's pool, which builds them for that request and frees them on
+// return. The rebuild is small next to the trials it serves: at n=65536 a
+// local3 cycle extension rebuilds the graph in ~2 ms and each message lane
+// in ~8-10 ms (~2.5 ms more to free it), against 0.6-0.9 s for 16 trials
+// on two lanes. stats() prices what stays (partial_bytes, report_bytes).
 //
 // Fixed schedules only. Adaptive schedules decide their own trial count
 // from convergence checks at schedule-dependent boundaries; two adaptive
@@ -64,6 +66,9 @@ struct ResultCacheStats {
   std::uint64_t misses = 0;          ///< all requested trials computed
   std::uint64_t trials_computed = 0; ///< sweep trials run, summed over points
   std::uint64_t entries = 0;         ///< resident workload entries
+  /// Current resident bytes by class - together the entries' whole cost:
+  std::uint64_t partial_bytes = 0;   ///< words in the partials' vectors
+  std::uint64_t report_bytes = 0;    ///< memoised report documents
 };
 
 /// One served request: the report document plus how it was produced.
@@ -93,7 +98,7 @@ class ResultCache {
   /// Offers externally computed exact-integer partials (one accumulator
   /// per sweep point, each covering trials [0, E) of the spec's canonical
   /// trial stream - e.g. a fabric run's merged unit results) to the
-  /// workload's resident entry. Kept iff they cover more trials than
+  /// workload's entry (creating it). Kept iff they cover more trials than
   /// what's cached; returns whether they were. A later sweep() for the
   /// same identity is then served from them exactly like locally computed
   /// partials. Partials that don't match the resolved spec's shape are
@@ -106,7 +111,7 @@ class ResultCache {
  private:
   struct Entry;
 
-  Entry& entry_for(const std::string& key, ResolvedScenario&& resolved);
+  Entry& insert_entry(const std::string& key, std::vector<PointAccumulator> partials);
 
   mutable std::mutex mutex_;
   ResultCacheOptions options_;

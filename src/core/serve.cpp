@@ -39,6 +39,8 @@ Server::Reply Server::handle_request(const std::string& line) {
       json.key("misses").value(stats.misses);
       json.key("trials_computed").value(stats.trials_computed);
       json.key("entries").value(stats.entries);
+      json.key("partial_bytes").value(stats.partial_bytes);
+      json.key("report_bytes").value(stats.report_bytes);
       json.end_object();
     } else if (op == "shutdown") {
       json.begin_object();

@@ -10,10 +10,13 @@
 //    test fails on overshoot), and budget-vs-unlimited result equality
 //    (the budget clamps footprint, never results).
 //  - The sparse gnp sampler is a distribution twin of the dense pair loop.
+//  - Result-cache residency: serving requests leaves only exact partials
+//    behind, not a message lane per request (VmRSS-metered).
 //  - IdAssignment::random at n = 10^6: exactly one allocation, 64-byte
 //    aligned (the reserve-exact contract the sweep hot loop relies on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -22,6 +25,8 @@
 #include "algo/largest_id.hpp"
 #include "core/batched_sweep.hpp"
 #include "core/memory_model.hpp"
+#include "core/result_cache.hpp"
+#include "core/scenario.hpp"
 #include "core/shard.hpp"
 #include "core/sweep_backend.hpp"
 #include "core/sweep_driver.hpp"
@@ -174,14 +179,15 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-/// Resident-memory high-water mark of this process (VmHWM), in bytes.
-/// Returns 0 when /proc is unavailable (non-Linux); callers skip then.
-std::size_t vm_hwm_bytes() {
+/// A kB field of this process's /proc/self/status ("VmHWM:" for the
+/// resident high-water mark, "VmRSS:" for the current resident set), in
+/// bytes. Returns 0 when /proc is unavailable (non-Linux); callers skip then.
+std::size_t proc_status_bytes(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::stoull(line.substr(6))) * 1024;
+    if (line.rfind(field, 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(field.size()))) * 1024;
     }
   }
   return 0;
@@ -205,13 +211,13 @@ TEST(MemoryBudget, MillionNodeRingStaysInsideDeclaredBudget) {
   // more than any allocator slack.
   opt.memory_budget_bytes = model.predicted_lane_bytes(2);
 
-  const std::size_t hwm_before = vm_hwm_bytes();
+  const std::size_t hwm_before = proc_status_bytes("VmHWM:");
   if (hwm_before == 0) GTEST_SKIP() << "/proc/self/status unavailable";
 
   core::SweepDriver driver(backend, opt, nullptr);
   core::SweepDriver::Point point = driver.prepare(g, 0);
   const core::PointAccumulator acc = driver.run_trials(point, 0, opt.trials);
-  const std::size_t hwm_after = vm_hwm_bytes();
+  const std::size_t hwm_after = proc_status_bytes("VmHWM:");
 
   EXPECT_EQ(acc.trial_count(), opt.trials);
   // VmHWM is monotone, so the delta is exactly the additional peak this
@@ -223,6 +229,49 @@ TEST(MemoryBudget, MillionNodeRingStaysInsideDeclaredBudget) {
     EXPECT_LE(overshoot_bytes, opt.memory_budget_bytes)
         << "budgeted n=10^6 sweep peaked " << overshoot_bytes - opt.memory_budget_bytes
         << " bytes past its declared budget of " << opt.memory_budget_bytes;
+  }
+}
+
+TEST(MemoryBudget, ResultCacheKeepsNoEnginesBetweenRequests) {
+  core::ScenarioSpec spec;
+  spec.family = {"cycle", {}};
+  spec.algorithm = "local3";
+  spec.ns = {65536};
+  spec.schedule.max_trials = 2;
+
+  // One message lane of this workload, as the backend's model prices it:
+  // the floor of what a cache that kept engines would pin per entry.
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  const std::size_t lane_bytes = resolved.make_backend()
+                                     ->memory_model(resolved.graphs(spec.ns.front()))
+                                     .predicted_lane_bytes(spec.schedule.max_trials);
+
+  // Two cold requests let the allocator settle: glibc serves the first
+  // request's big blocks by mmap and returns them on free, which raises its
+  // mmap threshold, so the second request's blocks come from the heap and
+  // stay there for reuse (one ~7.6 MB step, then flat).
+  core::ResultCache cache(core::ResultCacheOptions{1, 0});
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    spec.seed = seed;
+    (void)cache.sweep(spec);
+  }
+  const std::size_t rss_before = proc_status_bytes("VmRSS:");
+  if (rss_before == 0) GTEST_SKIP() << "/proc/self/status unavailable";
+
+  // Four more workloads that differ only in seed: each is a cold miss with
+  // its own graph and engine, which must be gone once its reply is built.
+  // What stays is the partial (its per-vertex node sums, 8n bytes) and the
+  // report; a cache that kept engines would pin more than a lane each.
+  for (std::uint64_t seed = 3; seed <= 6; ++seed) {
+    spec.seed = seed;
+    EXPECT_FALSE(cache.sweep(spec).warm);
+  }
+  const std::size_t rss_after = proc_status_bytes("VmRSS:");
+  EXPECT_EQ(cache.entry_count(), 6u);
+  if (!kSanitized) {
+    EXPECT_LT(rss_after - std::min(rss_after, rss_before), lane_bytes)
+        << "four cached workloads grew the resident set by " << rss_after - rss_before
+        << " bytes; one message lane is " << lane_bytes;
   }
 }
 

@@ -227,6 +227,46 @@ TEST(ResultCache, DistinctWorkloadsGetDistinctEntries) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+TEST(ResultCache, RequestThatThrowsLeavesNoEntryBehind) {
+  core::ResultCache cache;
+  (void)cache.sweep(base_spec(4));
+
+  // gnp at average degree 3 and n=300 finds no connected sample within
+  // make_gnp_connected's attempt budget, so the graph build throws inside
+  // the computation.
+  core::ScenarioSpec unbuildable = base_spec(4);
+  unbuildable.family = graph::parse_family_spec("gnp:avg-degree=3");
+  unbuildable.ns = {300};
+  unbuildable.seed = 1;
+  EXPECT_ANY_THROW((void)cache.sweep(unbuildable));
+  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  const core::ScenarioSpec next = base_spec(9);
+  EXPECT_EQ(cache.sweep(next).report, monolithic_report(next));
+}
+
+TEST(ResultCache, ResidentBytesGrowOnMissAndExtensionOnly) {
+  core::ResultCache cache;
+  EXPECT_EQ(cache.stats().partial_bytes, 0u);
+  EXPECT_EQ(cache.stats().report_bytes, 0u);
+
+  const core::ResultCacheOutcome miss = cache.sweep(base_spec(8));
+  const core::ResultCacheStats after_miss = cache.stats();
+  EXPECT_GT(after_miss.partial_bytes, 0u);
+  EXPECT_EQ(after_miss.report_bytes, miss.report.size());
+
+  const core::ResultCacheOutcome extension = cache.sweep(base_spec(20));
+  const core::ResultCacheStats after_extension = cache.stats();
+  EXPECT_GT(after_extension.partial_bytes, after_miss.partial_bytes);
+  EXPECT_EQ(after_extension.report_bytes, miss.report.size() + extension.report.size());
+
+  EXPECT_TRUE(cache.sweep(base_spec(20)).warm);
+  const core::ResultCacheStats after_hit = cache.stats();
+  EXPECT_EQ(after_hit.partial_bytes, after_extension.partial_bytes);
+  EXPECT_EQ(after_hit.report_bytes, after_extension.report_bytes);
+}
+
 // --------------------------------------------------------------- Server ----
 
 std::string sweep_request_line(const core::ScenarioSpec& spec) {
@@ -270,6 +310,21 @@ TEST(Server, HandleRequestSpeaksTheProtocol) {
   const auto shutdown = server.handle_request("{\"op\":\"shutdown\"}");
   EXPECT_EQ(shutdown.after, core::Server::Reply::After::kStop);
   EXPECT_NE(shutdown.line.find("\"ok\":true"), std::string::npos);
+}
+
+TEST(Server, StatsReplyPricesResidentBytes) {
+  core::ServeOptions options;
+  options.socket_path = "/tmp/unused-stats-test.sock";  // never bound
+  core::Server server(options);
+  (void)server.handle_request(sweep_request_line(base_spec(4)));
+
+  const support::JsonValue stats =
+      support::parse_json(server.handle_request("{\"op\":\"stats\"}").line);
+  const core::ResultCacheStats expected = server.cache().stats();
+  EXPECT_EQ(stats.at("entries").as_u64(), 1u);
+  EXPECT_GT(expected.partial_bytes, 0u);
+  EXPECT_EQ(stats.at("partial_bytes").as_u64(), expected.partial_bytes);
+  EXPECT_EQ(stats.at("report_bytes").as_u64(), expected.report_bytes);
 }
 
 TEST(Server, SocketEndToEndWithConcurrentClientsAndCleanShutdown) {
