@@ -27,7 +27,7 @@
 //   ... shards 1/4, 2/4, 3/4 on other hosts ...
 //   avglocal_cli merge --json sweep.json s0.json s1.json s2.json s3.json
 //
-// Or keep the engines resident: `serve` runs a daemon over a Unix-domain
+// Or keep results resident: `serve` runs a daemon over a Unix-domain
 // socket with a content-addressed result cache (repeat requests are free,
 // trial extensions compute only the missing range), `request` is its
 // client - the saved report is byte-identical to a one-shot sweep's:
@@ -616,7 +616,7 @@ void serve_usage() {
          "                          [--max-clients C]\n"
          "       avglocal_cli request --socket PATH [--op sweep|ping|stats|shutdown]\n"
          "                            [--connect-timeout-ms MS] ...sweep flags... [--json FILE]\n"
-         "  serve keeps sweep engines resident behind a Unix-domain socket with a\n"
+         "  serve keeps sweep results resident behind a Unix-domain socket with a\n"
          "  content-addressed result cache: a repeated request is served from cache\n"
          "  with zero recomputation, a request for more trials of a cached workload\n"
          "  computes only the missing trial range, and every report is byte-identical\n"
