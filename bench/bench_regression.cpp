@@ -48,7 +48,7 @@
 #include "algo/largest_id.hpp"
 #include "algo/registry.hpp"
 #include "core/batched_sweep.hpp"
-#include "core/remote_backend.hpp"
+#include "core/fabric.hpp"
 #include "core/result_cache.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep_driver.hpp"
@@ -334,7 +334,6 @@ DispatchOverhead bench_scenario_dispatch(std::size_t n, std::size_t trials, std:
   // legs stops cache warm-up or a scheduler hiccup from biasing one side.
   for (std::size_t rep = 0; rep < repetitions; ++rep) {
     {
-      const auto graphs = [](std::size_t m) { return graph::make_cycle(m); };
       core::BatchedSweepOptions options;
       options.trials = trials;
       options.seed = seed;
@@ -343,10 +342,14 @@ DispatchOverhead bench_scenario_dispatch(std::size_t n, std::size_t trials, std:
       const core::ViewBackend backend(
           [](std::size_t) { return algo::make_largest_id_view(); });
       const core::SweepPool pool(options);
-      const auto points = core::SweepDriver(backend, options, pool.get()).run({n}, graphs);
+      const core::SweepDriver driver(backend, options, pool.get());
+      const graph::Graph g = graph::make_cycle(n);
+      core::SweepDriver::Point prepared = driver.prepare(g, 0);
+      const core::BatchedSweepPoint point =
+          core::finalize_point(driver.run_trials(prepared, 0, trials), options);
       out.direct_trials_per_sec = std::max(out.direct_trials_per_sec,
                                            static_cast<double>(trials) / seconds_since(start));
-      if (points.empty()) std::abort();
+      if (point.trials != trials) std::abort();
     }
     {
       core::ScenarioSpec spec;
@@ -494,11 +497,14 @@ MessageSweepThroughput bench_message_sweep(std::size_t n, std::size_t rounds,
     const core::MessageBackend backend(
         [](std::size_t) { return algo::make_largest_id_messages(); });
     const core::SweepPool pool(options);
-    const auto points = core::SweepDriver(backend, options, pool.get())
-                            .run({sweep_n}, [](std::size_t m) { return graph::make_cycle(m); });
+    const core::SweepDriver driver(backend, options, pool.get());
+    const graph::Graph g = graph::make_cycle(sweep_n);
+    core::SweepDriver::Point prepared = driver.prepare(g, 0);
+    const core::BatchedSweepPoint point =
+        core::finalize_point(driver.run_trials(prepared, 0, options.trials), options);
     out.sweep_trials_per_sec =
         static_cast<double>(options.trials) / seconds_since(start);
-    if (points.empty() || points[0].radius.samples == 0) std::abort();
+    if (point.radius.samples == 0) std::abort();
   }
   return out;
 }
@@ -1263,9 +1269,9 @@ double bench_fabric_run(const core::ScenarioSpec& spec, std::size_t workers,
                         const std::string& reference, std::size_t* units_out) {
   core::FabricOptions options;
   options.endpoint = support::parse_endpoint("tcp:127.0.0.1:0");
-  core::RemoteBackend backend(spec, options);
-  backend.start();
-  const support::Endpoint endpoint = backend.endpoint();
+  core::FabricCoordinator coordinator(core::resolve_scenario(spec), options);
+  coordinator.start();
+  const support::Endpoint endpoint = coordinator.endpoint();
 
   const auto start = Clock::now();
   std::vector<std::thread> crew;
@@ -1278,15 +1284,23 @@ double bench_fabric_run(const core::ScenarioSpec& spec, std::size_t workers,
       core::run_fabric_worker(worker);
     });
   }
-  const core::RemoteSweepOutcome outcome = backend.run();
+  coordinator.run();
+  std::string report;
+  if (coordinator.complete()) {
+    const core::ScenarioResult result = core::finalize_scenario(
+        coordinator.spec(),
+        core::merge_unit_results(coordinator.work_units(), coordinator.take_unit_results(),
+                                 coordinator.spec().ns.size()));
+    report = core::sweep_report_json(result.spec, result.points);
+  }
   for (std::thread& member : crew) member.join();
   const double elapsed = seconds_since(start);
 
-  if (!outcome.complete || outcome.report != reference) {
+  if (report != reference) {
     std::cerr << "bench_regression: fabric report diverged from the monolithic sweep\n";
     std::exit(2);
   }
-  if (units_out != nullptr) *units_out = backend.coordinator().work_units().size();
+  if (units_out != nullptr) *units_out = coordinator.work_units().size();
   return elapsed;
 }
 

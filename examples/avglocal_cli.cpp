@@ -69,7 +69,6 @@
 #include "algo/registry.hpp"
 #include "core/fabric.hpp"
 #include "core/measure.hpp"
-#include "core/remote_backend.hpp"
 #include "core/runner.hpp"
 #include "core/scenario.hpp"
 #include "core/serve.hpp"
@@ -549,22 +548,6 @@ core::ScenarioSpec spec_from_meta(const core::SweepPlanMeta& meta) {
   return spec;
 }
 
-std::vector<core::ScenarioPoint> wrap_merged_points(const core::ScenarioSpec& spec,
-                                                    std::vector<core::BatchedSweepPoint> merged) {
-  std::vector<core::ScenarioPoint> points;
-  points.reserve(merged.size());
-  for (auto& p : merged) {
-    core::ScenarioPoint sp;
-    // The shared TrialSchedule::half_width keeps this reconstruction
-    // bit-identical to the monolithic run's reported value.
-    sp.half_width = spec.schedule.half_width(p.avg_sd, p.trials);
-    sp.converged = true;  // sharded plans are fixed-trial by construction
-    sp.point = std::move(p);
-    points.push_back(std::move(sp));
-  }
-  return points;
-}
-
 int run_merge_command_impl(int argc, char** argv) {
   std::string json_path;
   std::vector<std::string> artefacts;
@@ -596,13 +579,13 @@ int run_merge_command_impl(int argc, char** argv) {
     docs.push_back(core::parse_shard_json(read_text_file(path)));
   }
   const core::SweepPlanMeta meta = docs.front().meta;
-  const core::ScenarioSpec spec = spec_from_meta(meta);
-  const auto points = wrap_merged_points(spec, core::merge_shards(std::move(docs)));
+  const core::ScenarioResult result =
+      core::finalize_scenario(spec_from_meta(meta), core::merge_shards(std::move(docs)));
   std::cout << "merged " << artefacts.size() << " shard(s): " << meta.algorithm << " on "
             << meta.graph << ", seed " << meta.seed << ", " << meta.trials << " trials\n";
-  print_points(points, /*adaptive=*/false);
+  print_points(result.points, /*adaptive=*/false);
   if (!json_path.empty()) {
-    if (!write_text_file(json_path, core::sweep_report_json(spec, points))) return 1;
+    if (!write_text_file(json_path, core::sweep_report_json(result.spec, result.points))) return 1;
     std::cout << "merged report written to " << json_path << "\n";
   }
   return 0;
@@ -769,32 +752,40 @@ int run_fabric_serve_command_impl(int argc, char** argv) {
   }
   fabric.endpoint = support::parse_endpoint(listen);
 
-  core::RemoteBackend backend(spec, fabric);
-  backend.start();
-  g_host = &backend.coordinator().host();
+  core::FabricCoordinator coordinator(core::resolve_scenario(spec), fabric);
+  coordinator.start();
+  g_host = &coordinator.host();
   install_stop_handlers();
 
   // The resolved endpoint (TCP port 0 becomes the real port) goes to
   // stdout and, for launcher scripts, to --endpoint-file.
-  const std::string endpoint = backend.endpoint().to_string();
+  const std::string endpoint = coordinator.endpoint().to_string();
   if (!endpoint_file.empty() && !write_text_file(endpoint_file, endpoint)) return 1;
   std::cout << "fabric serving on " << endpoint << "\n" << std::flush;
 
-  const core::RemoteSweepOutcome outcome = backend.run();
+  coordinator.run();
   g_host = nullptr;
-  std::cout << "fabric: " << outcome.stats.workers_seen << " worker(s), "
-            << outcome.stats.units_granted << " grant(s), " << outcome.stats.redispatches
-            << " re-dispatch(es), " << outcome.stats.duplicates_discarded
-            << " duplicate(s) discarded\n";
-  if (!outcome.complete) {
+  const core::FabricStats stats = coordinator.stats();
+  std::cout << "fabric: " << stats.workers_seen << " worker(s), " << stats.units_granted
+            << " grant(s), " << stats.redispatches << " re-dispatch(es), "
+            << stats.duplicates_discarded << " duplicate(s) discarded\n";
+  if (!coordinator.complete()) {
     std::cerr << "fabric stopped before completion\n";
     return 1;
   }
-  print_points(outcome.result.points, /*adaptive=*/false);
+  // Unit-id order per point is canonical trial order, so the merged
+  // partials - and the report finalized from them - match the monolithic
+  // sweep byte for byte.
+  const std::vector<core::PointAccumulator> merged = core::merge_unit_results(
+      coordinator.work_units(), coordinator.take_unit_results(), coordinator.spec().ns.size());
+  const core::ScenarioResult result = core::finalize_scenario(coordinator.spec(), merged);
+  print_points(result.points, /*adaptive=*/false);
   if (!json_path.empty()) {
     // write_text_file appends the same trailing newline the sweep path
     // does, so the saved file is cmp-identical to `sweep --json`'s.
-    if (!write_text_file(json_path, outcome.report)) return 1;
+    if (!write_text_file(json_path, core::sweep_report_json(result.spec, result.points))) {
+      return 1;
+    }
     std::cout << "sweep report written to " << json_path << "\n";
   }
   return 0;

@@ -3,7 +3,7 @@
 // The paper's model lets vertices output at different rounds while they keep
 // relaying messages; the O(log* n) 3-colouring without knowledge of n it
 // cites ([KSV13], [Musto11]) is not constructed there. This file implements
-// our own such algorithm (the substitution is documented in DESIGN.md):
+// our own such algorithm (this header documents the substitution):
 //
 //  * Reduce: every active vertex iterates Cole-Vishkin bit reduction against
 //    its clockwise successor each round and *freezes* the first time its

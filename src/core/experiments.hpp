@@ -1,5 +1,7 @@
-// The experiment suite: every "table/figure" of the reproduction (E1..E10
-// in DESIGN.md), runnable at full bench scale or at smoke-test scale.
+// The experiment suite: every "table/figure" of the reproduction (E1..E14,
+// numbered beside their entry points below; tests/golden/experiments-tiny.md
+// pins the E2/E5/E6/E11 renders), runnable at full bench scale or at
+// smoke-test scale.
 #pragma once
 
 #include <functional>

@@ -227,6 +227,15 @@ FabricCoordinator::Reply FabricCoordinator::handle_request(std::uint64_t session
       if (doc.shard != expected || doc.points.size() != 1) {
         return error_reply("artefact rectangle does not match unit " + std::to_string(unit_id));
       }
+      // The partial itself must describe the unit too: a wrong trial_begin
+      // would only fail the merge after every unit ran, and a wrong n on a
+      // point's first unit would skew that point's report.
+      const PointAccumulator& partial = doc.points.front();
+      if (partial.point_index != unit.point || partial.n != resolved_.spec.ns[unit.point] ||
+          partial.trial_begin != unit.trial_begin ||
+          partial.trial_count() != unit.trial_end - unit.trial_begin) {
+        return error_reply("artefact partial does not match unit " + std::to_string(unit_id));
+      }
       bool accepted = false;
       {
         const std::lock_guard<std::mutex> lock(mutex_);

@@ -28,7 +28,8 @@
 // ShardDocument whose shard rectangle is exactly the unit's (one point,
 // the unit's trial range) and whose meta must equal scenario_plan_meta of
 // the coordinator's resolved scenario - a worker that somehow ran a
-// different workload is rejected, not merged.
+// different workload is rejected, not merged. So is a partial whose point,
+// n or trial range is not the unit's.
 //
 // Straggler policy: every grant stamps a deadline (steady_clock,
 // FabricOptions::straggler_ms ahead). A unit past its deadline - or held
@@ -183,6 +184,8 @@ class FabricCoordinator {
   bool complete() const;
   FabricStats stats() const;
   const std::vector<WorkUnit>& work_units() const { return work_units_; }
+  /// The canonical spec the sweep runs - what its partials finalize under.
+  const ScenarioSpec& spec() const noexcept { return resolved_.spec; }
   support::ConnectionHost& host() noexcept { return host_; }
 
   /// Accepted accumulators by unit id (a slot is empty only after an

@@ -8,7 +8,7 @@ namespace avglocal::core {
 
 /// Everything resident for one workload identity: exact integers and the
 /// report bytes finalized from them - no graph, backend or engine state.
-/// An entry exists only once its first computation (or offer) succeeded,
+/// An entry exists only once its first computation succeeded,
 /// so `partials` always holds one accumulator per sweep point.
 struct ResultCache::Entry {
   /// Exact-integer partials covering trials [0, E) per point, E equal
@@ -39,14 +39,6 @@ ResultCache::ResultCache(const ResultCacheOptions& options)
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Entry& ResultCache::insert_entry(const std::string& key,
-                                              std::vector<PointAccumulator> partials) {
-  Entry& entry = *entries_.emplace(key, std::make_unique<Entry>()).first->second;
-  entry.partials = std::move(partials);
-  stats_.entries = entries_.size();
-  return entry;
-}
-
 ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   const ResolvedScenario resolved = resolve_scenario(spec);
   if (resolved.spec.schedule.adaptive()) {
@@ -59,8 +51,7 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   // request with a different schedule, so the report and the half-width
   // must come from this one.
   const ScenarioSpec& request_spec = resolved.spec;
-  const TrialSchedule& schedule = request_spec.schedule;
-  const std::size_t requested = schedule.max_trials;
+  const std::size_t requested = request_spec.schedule.max_trials;
 
   ResultCacheOutcome outcome;
   outcome.key = scenario_cache_key(request_spec);
@@ -104,7 +95,9 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
 
   const std::vector<PointAccumulator>* finals = &fresh;
   if (entry == nullptr) {
-    entry = &insert_entry(outcome.key, std::move(fresh));
+    entry = entries_.emplace(outcome.key, std::make_unique<Entry>()).first->second.get();
+    entry->partials = std::move(fresh);
+    stats_.entries = entries_.size();
     finals = &entry->partials;
   } else if (cached <= requested) {
     // The heart of the cache: append() verifies the ranges abut, so the
@@ -116,16 +109,6 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
     finals = &entry->partials;
   }
 
-  std::vector<ScenarioPoint> points;
-  points.reserve(finals->size());
-  for (const PointAccumulator& acc : *finals) {
-    ScenarioPoint point;
-    point.converged = true;  // fixed schedules always run to their count
-    point.point = finalize_point(acc, options);
-    point.half_width = schedule.half_width(point.point.avg_sd, requested);
-    points.push_back(std::move(point));
-  }
-
   if (computed == 0) {
     ++stats_.full_hits;
   } else if (cached == 0 || cached >= requested) {
@@ -135,43 +118,11 @@ ResultCacheOutcome ResultCache::sweep(const ScenarioSpec& spec) {
   }
   stats_.trials_computed += computed;
 
-  outcome.report = sweep_report_json(request_spec, points);
+  outcome.report = sweep_report_json(request_spec, finalize_scenario(request_spec, *finals).points);
   outcome.trials_computed = computed;
   outcome.warm = computed == 0;
   entry->reports.emplace(memo_key, outcome.report);
   return outcome;
-}
-
-bool ResultCache::offer_partials(const ScenarioSpec& spec,
-                                 std::vector<PointAccumulator> partials) {
-  const ResolvedScenario resolved = resolve_scenario(spec);
-  if (resolved.spec.schedule.adaptive()) return false;
-  const std::string key = scenario_cache_key(resolved.spec);
-  const std::vector<std::size_t>& ns = resolved.spec.ns;
-
-  // Shape check before anything is trusted: one accumulator per point,
-  // each starting at trial 0, all covering the same range - the exact
-  // invariant entry.partials maintains for locally computed trials.
-  if (partials.size() != ns.size() || partials.empty()) return false;
-  const std::size_t covered = partials.front().trial_count();
-  if (covered == 0) return false;
-  for (std::size_t index = 0; index < partials.size(); ++index) {
-    if (partials[index].point_index != index || partials[index].n != ns[index] ||
-        partials[index].trial_begin != 0 || partials[index].trial_count() != covered) {
-      return false;
-    }
-  }
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto found = entries_.find(key);
-  if (found == entries_.end()) {
-    insert_entry(key, std::move(partials));
-    return true;
-  }
-  Entry& entry = *found->second;
-  if (covered <= entry.partials.front().trial_count()) return false;  // nothing new
-  entry.partials = std::move(partials);
-  return true;
 }
 
 ResultCacheStats ResultCache::stats() const {

@@ -95,23 +95,11 @@ class ResultCache {
   /// std::invalid_argument for unresolvable specs and adaptive schedules.
   ResultCacheOutcome sweep(const ScenarioSpec& spec);
 
-  /// Offers externally computed exact-integer partials (one accumulator
-  /// per sweep point, each covering trials [0, E) of the spec's canonical
-  /// trial stream - e.g. a fabric run's merged unit results) to the
-  /// workload's entry (creating it). Kept iff they cover more trials than
-  /// what's cached; returns whether they were. A later sweep() for the
-  /// same identity is then served from them exactly like locally computed
-  /// partials. Partials that don't match the resolved spec's shape are
-  /// rejected (returns false) rather than trusted.
-  bool offer_partials(const ScenarioSpec& spec, std::vector<PointAccumulator> partials);
-
   ResultCacheStats stats() const;
   std::size_t entry_count() const;
 
  private:
   struct Entry;
-
-  Entry& insert_entry(const std::string& key, std::vector<PointAccumulator> partials);
 
   mutable std::mutex mutex_;
   ResultCacheOptions options_;

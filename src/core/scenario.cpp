@@ -54,6 +54,29 @@ double partial_avg_sd(const PointAccumulator& acc) {
   return stats.stddev();
 }
 
+/// The sweep options a spec implies for a fixed run of `trials` trials;
+/// execution knobs (threads, batch, pool) stay at their defaults.
+BatchedSweepOptions spec_sweep_options(const ScenarioSpec& spec, std::size_t trials) {
+  BatchedSweepOptions options;
+  options.trials = trials;
+  options.seed = spec.seed;
+  options.semantics = spec.semantics;
+  options.quantile_probs = spec.quantile_probs;
+  options.node_profile = spec.node_profile;
+  return options;
+}
+
+/// The per-point step behind finalize_scenario and run_scenario: floats
+/// appear only here, in global trial order.
+ScenarioPoint finalize_scenario_point(const ScenarioSpec& spec, const PointAccumulator& acc,
+                                      bool converged) {
+  ScenarioPoint point;
+  point.converged = converged;
+  point.point = finalize_point(acc, spec_sweep_options(spec, acc.trial_count()));
+  point.half_width = spec.schedule.half_width(point.point.avg_sd, acc.trial_count());
+  return point;
+}
+
 }  // namespace
 
 double TrialSchedule::half_width(double sd, std::size_t trials) const noexcept {
@@ -70,13 +93,7 @@ BatchedSweepOptions ResolvedScenario::sweep_options() const {
 }
 
 BatchedSweepOptions ResolvedScenario::sweep_options(std::size_t trials) const {
-  BatchedSweepOptions options;
-  options.trials = trials;
-  options.seed = spec.seed;
-  options.semantics = spec.semantics;
-  options.quantile_probs = spec.quantile_probs;
-  options.node_profile = spec.node_profile;
-  return options;
+  return spec_sweep_options(spec, trials);
 }
 
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
@@ -344,22 +361,30 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const ScenarioExecution& e
                             : schedule.max_trials;
     PointAccumulator acc = driver.run_trials(prepared, 0, first);
 
-    ScenarioPoint point;
-    point.converged = !schedule.adaptive();
+    bool converged = !schedule.adaptive();
     while (schedule.adaptive()) {
       const std::size_t trials = acc.trial_count();
       if (schedule.half_width(partial_avg_sd(acc), trials) <= schedule.target_half_width) {
-        point.converged = true;
+        converged = true;
         break;
       }
       if (trials >= schedule.max_trials) break;
       const std::size_t next = std::min(trials + schedule.batch, schedule.max_trials);
       acc.append(driver.run_trials(prepared, trials, next));
     }
+    result.points.push_back(finalize_scenario_point(result.spec, acc, converged));
+  }
+  return result;
+}
 
-    point.point = finalize_point(acc, resolved.sweep_options(acc.trial_count()));
-    point.half_width = schedule.half_width(point.point.avg_sd, acc.trial_count());
-    result.points.push_back(std::move(point));
+ScenarioResult finalize_scenario(const ScenarioSpec& spec,
+                                 const std::vector<PointAccumulator>& partials) {
+  ScenarioResult result;
+  result.spec = spec;
+  result.points.reserve(partials.size());
+  // Fixed schedules always run to their count, so every point converged.
+  for (const PointAccumulator& acc : partials) {
+    result.points.push_back(finalize_scenario_point(spec, acc, /*converged=*/true));
   }
   return result;
 }

@@ -168,6 +168,18 @@ struct ScenarioResult {
 std::string sweep_report_json(const ScenarioSpec& spec,
                               const std::vector<ScenarioPoint>& points);
 
+/// Finalizes a fixed-schedule run's exact partials - one accumulator per
+/// sweep point, each covering trials [0, T) of the canonical trial stream -
+/// into reported points: finalize_point with the spec's quantile
+/// probabilities and node-profile switch, and the schedule's half-width at
+/// T. The one path from partials to report bytes for every topology
+/// (monolithic, cached, merged shards, fabric) - run_scenario's adaptive
+/// points go through the same per-point step - so reports agree byte for
+/// byte. Reads only the spec's measure fields and schedule, so best-effort
+/// specs rebuilt from artefact metas finalize too.
+ScenarioResult finalize_scenario(const ScenarioSpec& spec,
+                                 const std::vector<PointAccumulator>& partials);
+
 /// Execution knobs that never change results (pinned by the batched-sweep
 /// tests): worker pool sizing and engine batch width. Deliberately outside
 /// ScenarioSpec - two runs of one scenario on different machines are the

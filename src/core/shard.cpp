@@ -1,6 +1,7 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/assert.hpp"
 #include "support/json_reader.hpp"
@@ -69,16 +70,6 @@ SweepPlanMeta SweepPlanMeta::from_options(const std::vector<std::size_t>& ns,
   meta.quantile_probs = options.quantile_probs;
   meta.node_profile = options.node_profile;
   return meta;
-}
-
-BatchedSweepOptions SweepPlanMeta::options_for() const {
-  BatchedSweepOptions options;
-  options.seed = seed;
-  options.trials = trials;
-  options.semantics = semantics;
-  options.quantile_probs = quantile_probs;
-  options.node_profile = node_profile;
-  return options;
 }
 
 std::string shard_to_json(const ShardDocument& doc) {
@@ -190,12 +181,21 @@ ShardDocument parse_shard_json(std::string_view text) {
         acc.trial_edge_sum.size() != acc.trial_sum.size()) {
       throw std::runtime_error("shard: inconsistent point arrays");
     }
+    // Every (vertex, trial) and (edge, trial) sample is counted once, and
+    // both per-trial and per-vertex sums add up the same radii.
+    const std::uint64_t trials = acc.trial_count();
+    if (acc.histogram.samples() != trials * acc.n ||
+        acc.edge_histogram.samples() != trials * acc.edges ||
+        std::accumulate(acc.trial_sum.begin(), acc.trial_sum.end(), std::uint64_t{0}) !=
+            std::accumulate(acc.node_sum.begin(), acc.node_sum.end(), std::uint64_t{0})) {
+      throw std::runtime_error("shard: inconsistent point totals");
+    }
     doc.points.push_back(std::move(acc));
   }
   return doc;
 }
 
-std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs) {
+std::vector<PointAccumulator> merge_shards(std::vector<ShardDocument> docs) {
   AVGLOCAL_EXPECTS(!docs.empty());
   const SweepPlanMeta& meta = docs.front().meta;
   for (const ShardDocument& doc : docs) {
@@ -208,8 +208,7 @@ std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs) {
     AVGLOCAL_REQUIRE_MSG(doc.meta == meta, "shard artefacts describe different sweep plans");
   }
 
-  const BatchedSweepOptions options = meta.options_for();
-  std::vector<BatchedSweepPoint> points;
+  std::vector<PointAccumulator> points;
   points.reserve(meta.ns.size());
   for (std::size_t point = 0; point < meta.ns.size(); ++point) {
     // Collect this point's partials from every covering shard and stitch
@@ -231,7 +230,7 @@ std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs) {
     for (std::size_t i = 1; i < pieces.size(); ++i) merged.append(std::move(*pieces[i]));
     AVGLOCAL_REQUIRE_MSG(merged.trial_count() == meta.trials,
                          "shard trial ranges do not cover the full plan");
-    points.push_back(finalize_point(merged, options));
+    points.push_back(std::move(merged));
   }
   return points;
 }

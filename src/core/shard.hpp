@@ -5,14 +5,15 @@
 // derive_seed(derive_seed(seed, point), trial) - independent of which
 // shard, batch or worker runs it - and shard outputs are the exact integer
 // partials of core/batched_sweep.hpp, serialised as JSON. Merging the shard
-// artefacts of a plan therefore reproduces the monolithic sweep
-// (SweepDriver::run, core::run_scenario) bit for bit; tests pin this.
+// artefacts of a plan therefore reproduces the monolithic sweep's partials
+// (core::run_scenario_shard over the whole plan) bit for bit, and
+// core::finalize_scenario turns them into the same report; tests pin this.
 //
 // Workflow: plan_shards on the coordinator, core::run_scenario_shard
 // (core/scenario.hpp) + shard_to_json on each worker process (see the
 // `sweep --shard I/K` subcommand of examples/avglocal_cli.cpp),
-// parse_shard_json + merge_shards wherever the artefacts land (`merge`
-// subcommand).
+// parse_shard_json + merge_shards + finalize_scenario wherever the
+// artefacts land (`merge` subcommand).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +45,7 @@ std::vector<SweepShard> plan_shards(std::size_t points, std::size_t trials,
                                     std::size_t shard_count);
 
 /// The plan header every shard artefact carries so a merge can verify all
-/// artefacts describe the same sweep. `options_for` rebuilds the finalize
-/// parameters a merge needs.
+/// artefacts describe the same sweep.
 struct SweepPlanMeta {
   std::uint64_t seed = 42;
   std::size_t trials = 0;
@@ -75,7 +75,6 @@ struct SweepPlanMeta {
 
   static SweepPlanMeta from_options(const std::vector<std::size_t>& ns,
                                     const BatchedSweepOptions& options);
-  BatchedSweepOptions options_for() const;
 
   friend bool operator==(const SweepPlanMeta&, const SweepPlanMeta&) = default;
 };
@@ -92,14 +91,18 @@ struct ShardDocument {
 /// Serialises a shard artefact; integers are emitted losslessly.
 std::string shard_to_json(const ShardDocument& doc);
 
-/// Parses a shard artefact; throws std::runtime_error on malformed input
-/// and on documents that are not avglocal shard artefacts.
+/// Parses a shard artefact; throws std::runtime_error on malformed input,
+/// on documents that are not avglocal shard artefacts and on points whose
+/// integers contradict each other (array lengths, histogram masses other
+/// than trials x n and trials x edges, sum of trial_sum != sum of
+/// node_sum) - a corrupt artefact never reaches a merge.
 ShardDocument parse_shard_json(std::string_view text);
 
-/// Merges shard artefacts into the final sweep points. Requires all metas
-/// to be identical and, for every point of the plan, the shards' trial
-/// ranges to exactly partition [0, meta.trials) (any artefact order).
-/// The output is bit-identical to SweepDriver::run over the same plan.
-std::vector<BatchedSweepPoint> merge_shards(std::vector<ShardDocument> docs);
+/// Merges shard artefacts into one accumulator per plan point, each
+/// covering trials [0, meta.trials). Requires all metas to be identical
+/// and, for every point of the plan, the shards' trial ranges to exactly
+/// partition [0, meta.trials) (any artefact order). The output is
+/// bit-identical to run_scenario_shard over the whole plan.
+std::vector<PointAccumulator> merge_shards(std::vector<ShardDocument> docs);
 
 }  // namespace avglocal::core

@@ -139,19 +139,4 @@ PointAccumulator SweepDriver::run_trials(Point& point, std::size_t trial_begin,
   return acc;
 }
 
-std::vector<BatchedSweepPoint> SweepDriver::run(const std::vector<std::size_t>& ns,
-                                                const GraphFactory& graphs) const {
-  AVGLOCAL_EXPECTS(options_.trials >= 1);
-  std::vector<BatchedSweepPoint> points;
-  points.reserve(ns.size());
-  for (std::size_t point_index = 0; point_index < ns.size(); ++point_index) {
-    const graph::Graph g = graphs(ns[point_index]);
-    AVGLOCAL_REQUIRE_MSG(g.vertex_count() == ns[point_index], "graph factory size mismatch");
-    Point point = prepare(g, point_index);
-    const PointAccumulator acc = run_trials(point, 0, options_.trials);
-    points.push_back(finalize_point(acc, options_));
-  }
-  return points;
-}
-
 }  // namespace avglocal::core

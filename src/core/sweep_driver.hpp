@@ -90,11 +90,6 @@ class SweepDriver {
   PointAccumulator run_trials(Point& point, std::size_t trial_begin,
                               std::size_t trial_end) const;
 
-  /// Whole-sweep convenience: options.trials trials of every size through
-  /// prepare + run_trials + finalize_point.
-  std::vector<BatchedSweepPoint> run(const std::vector<std::size_t>& ns,
-                                     const GraphFactory& graphs) const;
-
   const BatchedSweepOptions& options() const noexcept { return options_; }
   const SweepBackend& backend() const noexcept { return *backend_; }
 

@@ -252,6 +252,16 @@ std::vector<core::BatchedSweepPoint> sweep_points(const core::ScenarioSpec& spec
   return points;
 }
 
+/// Merged shard partials finalized the way `merge` does.
+std::vector<core::BatchedSweepPoint> finalized(const core::ScenarioSpec& spec,
+                                               const std::vector<core::PointAccumulator>& merged) {
+  std::vector<core::BatchedSweepPoint> points;
+  for (core::ScenarioPoint& p : core::finalize_scenario(spec, merged).points) {
+    points.push_back(std::move(p.point));
+  }
+  return points;
+}
+
 core::ScenarioExecution threads(std::size_t count) {
   core::ScenarioExecution execution;
   execution.threads = count;
@@ -392,7 +402,7 @@ TEST(Shards, JsonMergeIsBitIdenticalToMonolithicSweep) {
   parsed.push_back(core::parse_shard_json(artefacts[2]));
   parsed.push_back(core::parse_shard_json(artefacts[0]));
   parsed.push_back(core::parse_shard_json(artefacts[1]));
-  const auto merged = core::merge_shards(std::move(parsed));
+  const auto merged = finalized(resolved.spec, core::merge_shards(std::move(parsed)));
 
   // Bit-identical: every integer and every double, including histograms,
   // quantiles and node profiles.
@@ -415,7 +425,7 @@ TEST(Shards, PlannedShardsMergeBitIdenticallyToo) {
     doc.points = core::run_scenario_shard(resolved, options, shard);
     docs.push_back(core::parse_shard_json(core::shard_to_json(doc)));
   }
-  EXPECT_EQ(core::merge_shards(std::move(docs)), monolithic);
+  EXPECT_EQ(finalized(resolved.spec, core::merge_shards(std::move(docs))), monolithic);
 }
 
 TEST(BatchedSweep, ProviderParameterisesAlgorithmPerPoint) {

@@ -4,8 +4,8 @@
 // sweep. Covers the endpoint grammar, the WorkQueue dispatch policy
 // (pure bookkeeping, no sockets), the coordinator protocol driven
 // socket-free through handle_request (duplicate discard, artefact
-// validation), real coordinator+worker runs over both transports, a
-// worker that vanishes mid-unit, and the ResultCache hand-off.
+// validation), real coordinator+worker runs over both transports and a
+// worker that vanishes mid-unit.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "core/fabric.hpp"
-#include "core/remote_backend.hpp"
-#include "core/result_cache.hpp"
 #include "core/scenario.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -44,6 +42,24 @@ core::ScenarioSpec base_spec(std::size_t trials) {
 
 std::string monolithic_report(const core::ScenarioSpec& spec) {
   const core::ScenarioResult result = core::run_scenario(spec);
+  return core::sweep_report_json(result.spec, result.points);
+}
+
+/// Turns on the finalize options the default specs leave off: the
+/// per-vertex profile and non-default quantiles.
+core::ScenarioSpec profiled(core::ScenarioSpec spec) {
+  spec.node_profile = true;
+  spec.quantile_probs = {0.25, 0.75};
+  return spec;
+}
+
+/// The report of a coordinator whose run() completed: its accepted unit
+/// results merged and finalized exactly as `fabric-serve` does.
+std::string fabric_report_of(core::FabricCoordinator& coordinator) {
+  const core::ScenarioResult result = core::finalize_scenario(
+      coordinator.spec(),
+      core::merge_unit_results(coordinator.work_units(), coordinator.take_unit_results(),
+                               coordinator.spec().ns.size()));
   return core::sweep_report_json(result.spec, result.points);
 }
 
@@ -166,11 +182,15 @@ std::string work_request_line() { return "{\"op\":\"work-request\"}"; }
 
 /// Builds the result line a worker would send for `unit`, computing the
 /// artefact locally through the same shard plumbing workers use.
-std::string result_line(const core::ResolvedScenario& resolved, const core::WorkUnit& unit) {
+/// `trial_shift` moves the partial's trial_begin off the unit's (a corrupt
+/// worker); the artefact still parses.
+std::string result_line(const core::ResolvedScenario& resolved, const core::WorkUnit& unit,
+                        std::size_t trial_shift = 0) {
   core::ShardDocument doc;
   doc.meta = core::scenario_plan_meta(resolved);
   doc.shard = core::SweepShard{unit.point, unit.point + 1, unit.trial_begin, unit.trial_end};
   doc.points = core::run_scenario_shard(resolved, resolved.sweep_options(), doc.shard);
+  doc.points.front().trial_begin += trial_shift;
   support::JsonWriter json;
   json.begin_object();
   json.key("op").value("result");
@@ -269,6 +289,32 @@ TEST(FabricCoordinator, RejectsArtefactsFromTheWrongWorkload) {
   EXPECT_NE(unknown_unit.line.find("\"ok\":false"), std::string::npos);
 }
 
+TEST(FabricCoordinator, RejectsPartialsThatDoNotDescribeTheUnit) {
+  core::ScenarioSpec spec = base_spec(8);
+  spec.ns = {64};
+  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
+  core::FabricOptions options;
+  options.unit_trials = 8;         // a single unit
+  options.straggler_ms = 1000000;  // re-grant must come from the release
+  core::FabricCoordinator coordinator(resolved, options);
+  (void)coordinator.handle_request(0, work_request_line());
+
+  // Right meta and rectangle, but the partial claims trials [1, 9): an
+  // accepted copy would only fail the merge after every unit had run.
+  const core::WorkUnit unit = coordinator.work_units().front();
+  const auto rejected = coordinator.handle_request(0, result_line(resolved, unit, 1));
+  EXPECT_NE(rejected.line.find("\"ok\":false"), std::string::npos);
+  EXPECT_EQ(coordinator.stats().results_accepted, 0u);
+  EXPECT_FALSE(coordinator.complete());
+
+  // The unit is still outstanding: once its holder drops, it goes out again.
+  coordinator.release_session(0);
+  const support::JsonValue regranted =
+      support::parse_json(coordinator.handle_request(1, work_request_line()).line);
+  EXPECT_EQ(regranted.at("op").as_string(), "work-grant");
+  EXPECT_EQ(regranted.at("unit").at("id").as_u64(), unit.id);
+}
+
 TEST(FabricCoordinator, ReleaseSessionReturnsHeldUnitsToCirculation) {
   core::ScenarioSpec spec = base_spec(4);
   spec.ns = {64};
@@ -287,17 +333,17 @@ TEST(FabricCoordinator, ReleaseSessionReturnsHeldUnitsToCirculation) {
 
 // ------------------------------------------------- sockets, end to end ----
 
-/// Runs a full fabric sweep: a RemoteBackend coordinator on `endpoint`
-/// plus `workers` in-process workers, returning the merged report.
+/// Runs a full fabric sweep: a coordinator on `endpoint` plus `workers`
+/// in-process workers, returning the merged report.
 std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
-                          const support::Endpoint& endpoint, core::ResultCache* cache = nullptr,
+                          const support::Endpoint& endpoint,
                           core::FabricStats* stats_out = nullptr) {
   core::FabricOptions options;
   options.endpoint = endpoint;
   options.unit_trials = 3;  // enough units per point for real interleaving
-  core::RemoteBackend backend(spec, options);
-  backend.start();
-  const support::Endpoint bound = backend.endpoint();
+  core::FabricCoordinator coordinator(core::resolve_scenario(spec), options);
+  coordinator.start();
+  const support::Endpoint bound = coordinator.endpoint();
 
   // Each worker's first grant waits until every worker holds one, so all
   // of them have connected before any unit completes. Otherwise a worker
@@ -326,11 +372,11 @@ std::string fabric_report(const core::ScenarioSpec& spec, std::size_t workers,
       EXPECT_FALSE(outcome.drained);
     });
   }
-  const core::RemoteSweepOutcome outcome = backend.run(cache);
+  coordinator.run();
   for (std::thread& thread : threads) thread.join();
-  EXPECT_TRUE(outcome.complete);
-  if (stats_out != nullptr) *stats_out = outcome.stats;
-  return outcome.report;
+  EXPECT_TRUE(coordinator.complete());
+  if (stats_out != nullptr) *stats_out = coordinator.stats();
+  return fabric_report_of(coordinator);
 }
 
 std::string scratch_socket(char (&dir_template)[30]) {
@@ -346,7 +392,7 @@ TEST(Fabric, OneWorkerOverUnixSocketMatchesMonolithicByteForByte) {
 
   const core::ScenarioSpec spec = base_spec(10);
   core::FabricStats stats;
-  EXPECT_EQ(fabric_report(spec, 1, endpoint, nullptr, &stats), monolithic_report(spec));
+  EXPECT_EQ(fabric_report(spec, 1, endpoint, &stats), monolithic_report(spec));
   EXPECT_EQ(stats.workers_seen, 1u);
   EXPECT_EQ(stats.results_accepted, 8u);  // 2 points x ceil(10/3) units
   EXPECT_EQ(stats.duplicates_discarded, 0u);
@@ -361,7 +407,7 @@ TEST(Fabric, ThreeWorkersStealingOverUnixSocketMatchMonolithic) {
 
   const core::ScenarioSpec spec = base_spec(16);
   core::FabricStats stats;
-  EXPECT_EQ(fabric_report(spec, 3, endpoint, nullptr, &stats), monolithic_report(spec));
+  EXPECT_EQ(fabric_report(spec, 3, endpoint, &stats), monolithic_report(spec));
   EXPECT_EQ(stats.workers_seen, 3u);
   EXPECT_EQ(stats.results_accepted, 12u);  // 2 points x ceil(16/3) units
   ::rmdir(dir_template);
@@ -369,8 +415,9 @@ TEST(Fabric, ThreeWorkersStealingOverUnixSocketMatchMonolithic) {
 
 TEST(Fabric, TcpEphemeralPortWorksLikeUnixDomain) {
   support::Endpoint endpoint = support::parse_endpoint("tcp:127.0.0.1:0");
-  const core::ScenarioSpec spec = base_spec(8);
-  EXPECT_EQ(fabric_report(spec, 2, endpoint), monolithic_report(spec));
+  for (const core::ScenarioSpec& spec : {base_spec(8), profiled(base_spec(8))}) {
+    EXPECT_EQ(fabric_report(spec, 2, endpoint), monolithic_report(spec));
+  }
 }
 
 TEST(Fabric, MessageEngineScenariosTravelTheFabricToo) {
@@ -400,11 +447,10 @@ TEST(Fabric, WorkerVanishingMidUnitIsRedispatchedAndStaysByteIdentical) {
   options.endpoint = endpoint;
   options.unit_trials = 3;
   options.straggler_ms = 60000;  // re-dispatch must come from the drop, not time
-  core::RemoteBackend backend(spec, options);
-  backend.start();
-  const support::Endpoint bound = backend.endpoint();
-  core::RemoteSweepOutcome outcome;
-  std::thread runner([&backend, &outcome] { outcome = backend.run(); });
+  core::FabricCoordinator coordinator(core::resolve_scenario(spec), options);
+  coordinator.start();
+  const support::Endpoint bound = coordinator.endpoint();
+  std::thread runner([&coordinator] { coordinator.run(); });
 
   // The casualty: takes a grant, then vanishes without delivering - the
   // protocol-level shape of a worker killed mid-unit.
@@ -430,9 +476,9 @@ TEST(Fabric, WorkerVanishingMidUnitIsRedispatchedAndStaysByteIdentical) {
   runner.join();
   survivor.join();
 
-  ASSERT_TRUE(outcome.complete);
-  EXPECT_EQ(outcome.report, monolithic_report(spec));
-  EXPECT_GE(outcome.stats.redispatches, 1u);
+  ASSERT_TRUE(coordinator.complete());
+  EXPECT_EQ(fabric_report_of(coordinator), monolithic_report(spec));
+  EXPECT_GE(coordinator.stats().redispatches, 1u);
   ::rmdir(dir_template);
 }
 
@@ -444,17 +490,14 @@ TEST(Fabric, RequestStopDrainsWithoutCompleting) {
 
   core::FabricOptions options;
   options.endpoint = endpoint;
-  core::RemoteBackend backend(base_spec(10), options);
-  backend.start();
-  std::thread runner([&backend] {
-    const core::RemoteSweepOutcome outcome = backend.run();
-    EXPECT_FALSE(outcome.complete);
-    EXPECT_TRUE(outcome.report.empty());
-  });
+  core::FabricCoordinator coordinator(core::resolve_scenario(base_spec(10)), options);
+  coordinator.start();
+  std::thread runner([&coordinator] { coordinator.run(); });
   // Simulates the SIGTERM handler: the signal-safe call alone must bring
   // the blocked accept loop down.
-  backend.request_stop();
+  coordinator.request_stop();
   runner.join();
+  EXPECT_FALSE(coordinator.complete());
   ::rmdir(dir_template);
 }
 
@@ -468,53 +511,6 @@ TEST(FabricCoordinator, FullSlotTableRepliesBusyInsteadOfSilentlyDropping) {
   expect_full_slot_table_replies_busy(coordinator, coordinator.endpoint(),
                                       "{\"op\":\"hello\",\"worker\":\"w\"}");
   ::rmdir(dir_template);
-}
-
-// ------------------------------------------------------- cache hand-off ----
-
-TEST(Fabric, RemotePartialsLandInTheResultCache) {
-  char dir_template[30] = "/tmp/avglocal-fabric-XXXXXX";
-  support::Endpoint endpoint;
-  endpoint.kind = support::Endpoint::Kind::kUnix;
-  endpoint.path = scratch_socket(dir_template);
-
-  const core::ScenarioSpec spec = base_spec(10);
-  core::ResultCache cache(core::ResultCacheOptions{1, 0});
-  const std::string remote = fabric_report(spec, 2, endpoint, &cache);
-  EXPECT_EQ(remote, monolithic_report(spec));
-
-  // The fabric's trials are in the resident cache now: the same request
-  // is served warm, and an extension computes only the missing tail.
-  const core::ResultCacheOutcome warm = cache.sweep(spec);
-  EXPECT_TRUE(warm.warm);
-  EXPECT_EQ(warm.trials_computed, 0u);
-  EXPECT_EQ(warm.report, remote);
-
-  const core::ScenarioSpec extended = base_spec(14);
-  const core::ResultCacheOutcome extension = cache.sweep(extended);
-  EXPECT_EQ(extension.trials_computed, 4u * spec.ns.size());
-  EXPECT_EQ(extension.report, monolithic_report(extended));
-  ::rmdir(dir_template);
-}
-
-TEST(ResultCache, OfferPartialsRejectsWrongShapesAndShorterRanges) {
-  const core::ScenarioSpec spec = base_spec(8);
-  core::ResultCache cache(core::ResultCacheOptions{1, 0});
-
-  // Wrong count: one accumulator for a two-point sweep.
-  EXPECT_FALSE(cache.offer_partials(spec, std::vector<core::PointAccumulator>(1)));
-
-  // The real thing: partials from a monolithic shard run are accepted...
-  const core::ResolvedScenario resolved = core::resolve_scenario(spec);
-  std::vector<core::PointAccumulator> partials = core::run_scenario_shard(
-      resolved, resolved.sweep_options(), core::SweepShard{0, 2, 0, 8});
-  EXPECT_TRUE(cache.offer_partials(spec, std::move(partials)));
-  EXPECT_TRUE(cache.sweep(spec).warm);
-
-  // ...but a shorter cover than what's cached is not worth keeping.
-  std::vector<core::PointAccumulator> shorter = core::run_scenario_shard(
-      resolved, resolved.sweep_options(), core::SweepShard{0, 2, 0, 4});
-  EXPECT_FALSE(cache.offer_partials(spec, std::move(shorter)));
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -125,13 +127,36 @@ TEST(GoldenArtefacts, CommittedArtefactsStillParseAndMerge) {
     EXPECT_EQ(doc.meta.algorithm, c.algorithm) << c.file;
     // Round trip: parse + re-serialise reproduces the committed bytes.
     EXPECT_EQ(core::shard_to_json(doc), committed) << c.file;
-    // A full-plan artefact merges on its own into finalized points.
+    // A full-plan artefact merges on its own into a full-range partial.
     std::vector<core::ShardDocument> docs;
     docs.push_back(std::move(doc));
-    const auto points = core::merge_shards(std::move(docs));
-    ASSERT_EQ(points.size(), 1u) << c.file;
-    EXPECT_EQ(points[0].trials, 4u) << c.file;
-    EXPECT_GT(points[0].radius.samples, 0u) << c.file;
+    const std::vector<core::PointAccumulator> merged = core::merge_shards(std::move(docs));
+    ASSERT_EQ(merged.size(), 1u) << c.file;
+    EXPECT_EQ(merged[0].trial_count(), 4u) << c.file;
+    EXPECT_GT(merged[0].histogram.samples(), 0u) << c.file;
+  }
+}
+
+/// A corrupt artefact must not parse, let alone merge: one extra sample in
+/// either histogram, or a node sum that no longer adds up to the per-trial
+/// sums, contradicts the rest of the point.
+TEST(GoldenArtefacts, ArtefactsWithInconsistentTotalsAreRejected) {
+  if (std::getenv("AVGLOCAL_REGEN_GOLDEN") != nullptr) GTEST_SKIP();
+  const core::ShardDocument golden = core::parse_shard_json(read_file(golden_path(kCases[0])));
+  const auto bumped = [](std::span<const std::uint64_t> counts) {
+    std::vector<std::uint64_t> copy(counts.begin(), counts.end());
+    ++copy.back();
+    return local::RadiusHistogram(std::move(copy));
+  };
+  core::ShardDocument histogram = golden;
+  histogram.points[0].histogram = bumped(golden.points[0].histogram.counts());
+  core::ShardDocument edge_histogram = golden;
+  edge_histogram.points[0].edge_histogram = bumped(golden.points[0].edge_histogram.counts());
+  core::ShardDocument node_sum = golden;
+  ++node_sum.points[0].node_sum[0];
+  for (const core::ShardDocument* corrupt : {&histogram, &edge_histogram, &node_sum}) {
+    EXPECT_THROW((void)core::parse_shard_json(core::shard_to_json(*corrupt)),
+                 std::runtime_error);
   }
 }
 
@@ -178,11 +203,13 @@ TEST(GoldenArtefacts, Version2ArtefactsStillParse) {
   // And merges: zero edge data finalizes to all-zero edge measures.
   std::vector<core::ShardDocument> docs;
   docs.push_back(doc);
-  const auto points = core::merge_shards(std::move(docs));
+  core::ScenarioSpec spec;  // the parts of a best-effort spec finalize reads
+  spec.quantile_probs = doc.meta.quantile_probs;
+  const auto points = core::finalize_scenario(spec, core::merge_shards(std::move(docs))).points;
   ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].edges, 0u);
-  EXPECT_EQ(points[0].edge_avg_mean, 0.0);
-  EXPECT_EQ(points[0].edge_time.samples, 0u);
+  EXPECT_EQ(points[0].point.edges, 0u);
+  EXPECT_EQ(points[0].point.edge_avg_mean, 0.0);
+  EXPECT_EQ(points[0].point.edge_time.samples, 0u);
 }
 
 }  // namespace

@@ -158,6 +158,16 @@ std::vector<core::BatchedSweepPoint> sweep_points(const core::ScenarioSpec& spec
   return points;
 }
 
+/// Merged shard partials finalized the way `merge` does.
+std::vector<core::BatchedSweepPoint> finalized(const core::ScenarioSpec& spec,
+                                               const std::vector<core::PointAccumulator>& merged) {
+  std::vector<core::BatchedSweepPoint> points;
+  for (core::ScenarioPoint& p : core::finalize_scenario(spec, merged).points) {
+    points.push_back(std::move(p.point));
+  }
+  return points;
+}
+
 TEST(MessageSweep, IndependentOfBatchSize) {
   core::ScenarioSpec spec;
   spec.family = {"cycle", {}};
@@ -199,7 +209,7 @@ TEST(MessageSweep, ShardedMergeIsBitIdenticalToMonolithicSweep) {
     // edge partials included.
     docs.push_back(core::parse_shard_json(core::shard_to_json(doc)));
   }
-  EXPECT_EQ(core::merge_shards(std::move(docs)), monolithic);
+  EXPECT_EQ(finalized(resolved.spec, core::merge_shards(std::move(docs))), monolithic);
 }
 
 TEST(MessageSweep, MergeRejectsCrossEngineArtefacts) {

@@ -51,6 +51,14 @@ std::string monolithic_report(const core::ScenarioSpec& spec) {
   return core::sweep_report_json(result.spec, result.points);
 }
 
+/// Turns on the finalize options the default specs leave off: the
+/// per-vertex profile and non-default quantiles.
+core::ScenarioSpec profiled(core::ScenarioSpec spec) {
+  spec.node_profile = true;
+  spec.quantile_probs = {0.25, 0.75};
+  return spec;
+}
+
 // ----------------------------------------------------------- cache key ----
 
 TEST(ScenarioCacheKey, ScheduleDoesNotChangeIdentity) {
@@ -151,6 +159,14 @@ TEST(ResultCache, ExtensionMatchesMonolithicBitForBit) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.extensions, 1u);
   EXPECT_EQ(cache.entry_count(), 1u);
+
+  // A profiled workload finalizes its cold and extended partials with its
+  // own quantiles and per-vertex means, exactly as run_scenario does.
+  for (const std::size_t trials : {std::size_t{10}, std::size_t{25}}) {
+    const core::ScenarioSpec profile = profiled(base_spec(trials));
+    EXPECT_EQ(cache.sweep(profile).report, monolithic_report(profile)) << trials << " trials";
+  }
+  EXPECT_EQ(cache.stats().extensions, 2u);
 }
 
 TEST(ResultCache, ShorterThanCachedRecomputesThenMemoises) {
@@ -159,7 +175,7 @@ TEST(ResultCache, ShorterThanCachedRecomputesThenMemoises) {
 
   // Histograms and node sums aggregate over all trials, so a shorter
   // request cannot be truncated out of the cached partial: it recomputes
-  // [0, 10) on the resident engines - and must still match the
+  // [0, 10) with freshly built engines - and must still match the
   // monolithic 10-trial bytes exactly.
   const core::ScenarioSpec shorter = base_spec(10);
   const core::ResultCacheOutcome recomputed = cache.sweep(shorter);
@@ -213,7 +229,7 @@ TEST(ResultCache, MessageEngineWorkloadsCacheAndExtendToo) {
 
   spec.schedule.max_trials = 14;
   const core::ResultCacheOutcome extended = cache.sweep(spec);
-  EXPECT_EQ(extended.trials_computed, 8u);  // resident engine, tail only
+  EXPECT_EQ(extended.trials_computed, 8u);  // the tail only
   EXPECT_EQ(extended.report, monolithic_report(spec));
 }
 

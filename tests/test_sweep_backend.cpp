@@ -233,11 +233,11 @@ TEST(ShardCompatibility, Version2ArtefactStillMergesThroughTheDriverEraReader) {
   std::vector<core::ShardDocument> docs;
   docs.push_back(core::parse_shard_json(kV2Artefact));
   EXPECT_EQ(docs.front().meta.engine, "view");
-  const auto points = core::merge_shards(std::move(docs));
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].trials, 2u);
-  EXPECT_EQ(points[0].edges, 0u) << "v2 carries no edge partials";
-  EXPECT_EQ(points[0].edge_avg_mean, 0.0);
+  const auto merged = core::merge_shards(std::move(docs));
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].trial_count(), 2u);
+  EXPECT_EQ(merged[0].edges, 0u) << "v2 carries no edge partials";
+  EXPECT_EQ(merged[0].trial_edge_sum, (std::vector<std::uint64_t>{0, 0}));
 }
 
 TEST(ShardCompatibility, Version3ViewArtefactsFromTheDriverRoundTripAndMerge) {
